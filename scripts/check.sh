@@ -19,7 +19,8 @@
 # stage runs the billion-file churn -> crash -> replay -> oracle loop under
 # ASan (spiderfault --churn, docs/metadata-changelog.md), and a bench-smoke
 # stage runs the engine throughput loops against the checked-in baselines
-# (scripts/bench.sh --smoke).
+# (scripts/bench.sh --smoke). The address stage also runs the S1 and C16
+# paper benches and gates on their shape checks.
 #
 # Usage: scripts/check.sh [build-root]   (default: build-check/)
 set -euo pipefail
@@ -67,6 +68,22 @@ run_preset() {
 }
 
 run_preset address
+
+# Paper-figure benches under ASan: S1 (a six-hour shift, ~1 flow
+# per event) and C16 (read/write interference, ~100 flows per event) drive
+# FlowNetwork's sparse re-solve, whose ResourceId-indexed workspace arrays
+# are exactly where an out-of-bounds access would hide. Each bench's exit
+# status carries its paper shape checks.
+echo "=== [address] paper benches S1 + C16 (shape checks) ==="
+for BENCH in bench_s1_center_day bench_c16_interference; do
+  if ! "${BUILD_ROOT}/address/bench/${BENCH}" \
+      > "${BUILD_ROOT}/${BENCH}_asan.txt"; then
+    cat "${BUILD_ROOT}/${BENCH}_asan.txt"
+    echo "FAIL: ${BENCH} failed under ASan" >&2
+    exit 1
+  fi
+done
+
 run_preset undefined
 
 # Cross-process replay determinism: the replay test prints a

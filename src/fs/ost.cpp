@@ -16,16 +16,23 @@ double Ost::fullness() const {
 }
 
 bool Ost::allocate(Bytes size) {
-  if (used_ + size > capacity()) return false;
-  used_ += size;
+  if (!grow(size)) return false;
   ++objects_;
   return true;
 }
 
 void Ost::release(Bytes size) {
-  used_ -= std::min(used_, size);
+  shrink(size);
   if (objects_ > 0) --objects_;
 }
+
+bool Ost::grow(Bytes delta) {
+  if (used_ + delta > capacity()) return false;
+  used_ += delta;
+  return true;
+}
+
+void Ost::shrink(Bytes delta) { used_ -= std::min(used_, delta); }
 
 double Ost::fullness_factor() const {
   const double f = fullness();

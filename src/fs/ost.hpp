@@ -58,6 +58,16 @@ class Ost {
   void release(Bytes size)
       SPIDER_JOURNALED("derived accounting, reconstructed by fsck phase-2; "
                        "the owning namespace op is the journaled record");
+  /// Grow an existing object by `delta` bytes; returns false if it doesn't
+  /// fit. The object count is unchanged.
+  bool grow(Bytes delta)
+      SPIDER_JOURNALED("derived accounting, reconstructed by fsck phase-2; "
+                       "the owning namespace op is the journaled record");
+  /// Shrink an existing object by `delta` bytes. The object count is
+  /// unchanged.
+  void shrink(Bytes delta)
+      SPIDER_JOURNALED("derived accounting, reconstructed by fsck phase-2; "
+                       "the owning namespace op is the journaled record");
   /// Force the used-space counter (fill-state experiments).
   void set_used(Bytes used)
       SPIDER_JOURNALED("experiment setup knob, not an operation: fill-state "

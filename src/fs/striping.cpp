@@ -92,16 +92,16 @@ bool OstAllocator::resize(std::span<const std::uint32_t> ost_ids,
     if (it != index_of_id_.end()) touched.push_back(osts_[it->second]);
   }
   if (per_new < per_old) {
-    for (Ost* o : touched) o->release(per_old - per_new);
+    for (Ost* o : touched) o->shrink(per_old - per_new);
     return true;
   }
   std::size_t done = 0;
   for (; done < touched.size(); ++done) {
-    if (!touched[done]->allocate(per_new - per_old)) break;
+    if (!touched[done]->grow(per_new - per_old)) break;
   }
   if (done == touched.size()) return true;
   // Grow did not fit: roll the partial reservation back.
-  for (std::size_t i = 0; i < done; ++i) touched[i]->release(per_new - per_old);
+  for (std::size_t i = 0; i < done; ++i) touched[i]->shrink(per_new - per_old);
   return false;
 }
 

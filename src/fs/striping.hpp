@@ -49,6 +49,7 @@ class OstAllocator {
   /// Adjust a file's reservation on its existing stripe OSTs from
   /// `old_size` to `new_size` (evenly, like allocate/release). Shrinks
   /// always succeed; a grow that does not fit rolls back and returns false.
+  /// Only bytes move: the file keeps one object per stripe OST.
   bool resize(std::span<const std::uint32_t> ost_ids, Bytes old_size,
               Bytes new_size);
 

@@ -18,6 +18,7 @@ ResourceId FlowNetwork::add_resource(std::string name, double capacity) {
   names_.push_back(std::move(name));
   capacity_.push_back(capacity);
   stats_.emplace_back();
+  moved_.push_back(0.0);
   return static_cast<ResourceId>(capacity_.size() - 1);
 }
 
@@ -35,38 +36,30 @@ FlowId FlowNetwork::start_flow(FlowDesc desc) {
     }
   }
   const FlowId id = next_flow_id_++;
-  auto activate = [this, id, desc = std::move(desc)]() mutable {
-    advance_progress();
-    ActiveFlow f;
-    f.path = std::move(desc.path);
-    f.size = desc.size;
-    f.remaining = desc.size;
-    f.rate_cap = desc.rate_cap;
-    f.on_complete = std::move(desc.on_complete);
-    for (const auto& hop : f.path) ++stats_[hop.resource].flows_seen;
-    flows_.emplace(id, std::move(f));
-    resolve();
-  };
-  if (desc.latency > 0) {
-    const SimTime latency = desc.latency;
-    sim_.schedule_in(latency, std::move(activate));
-  } else {
-    activate();
+  if (desc.latency <= 0) {
+    activate(id, std::move(desc));
+    return id;
   }
+  // A pending flow activates only if cancel_flow has not removed it from
+  // pending_ meanwhile.
+  pending_.insert(id);
+  const SimTime latency = desc.latency;
+  auto activate_later = [this, id, desc = std::move(desc)]() mutable {
+    if (pending_.erase(id) != 0) activate(id, std::move(desc));
+  };
+  // This line, like resolve()'s wakeup, is a replay site (site_hash):
+  // moving either call changes every golden stream hash.
+  sim_.schedule_in(latency, std::move(activate_later));
   return id;
 }
 
 void FlowNetwork::cancel_flow(FlowId id) {
+  if (pending_.erase(id) != 0) return;
   auto it = flows_.find(id);
   if (it == flows_.end()) return;
   advance_progress();
   flows_.erase(it);
   resolve();
-}
-
-double FlowNetwork::flow_rate(FlowId id) const {
-  auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.rate;
 }
 
 void FlowNetwork::advance_progress() {
@@ -75,18 +68,19 @@ void FlowNetwork::advance_progress() {
   const double dt = to_seconds(now - last_update_);
   last_update_ = now;
   if (dt <= 0.0) return;
-  // Per-resource delivered units this interval, for telemetry.
-  std::vector<double> used(capacity_.size(), 0.0);
+  // Per-resource delivered units this interval, for telemetry. Only the
+  // last resolve's touched set can be non-zero; the rest would add +0.0.
   for (auto& [id, f] : flows_) {
     const double moved = std::min(f.remaining, f.rate * dt);
     f.remaining -= moved;
-    for (const auto& hop : f.path) used[hop.resource] += moved * hop.cost;
+    for (const auto& hop : f.path) moved_[hop.resource] += moved * hop.cost;
   }
-  for (std::size_t r = 0; r < capacity_.size(); ++r) {
-    stats_[r].served += used[r];
+  for (ResourceId r : solver_.touched) {
+    stats_[r].served += moved_[r];
     if (capacity_[r] > 0.0) {
-      stats_[r].busy_integral += used[r] / capacity_[r];
+      stats_[r].busy_integral += moved_[r] / capacity_[r];
     }
+    moved_[r] = 0.0;
   }
 }
 
@@ -97,27 +91,33 @@ void FlowNetwork::resolve() {
     completion_scheduled_ = false;
   }
 
+  // Resources leaving the touched set drop to zero load; the new set's
+  // loads are written after the solve.
+  for (ResourceId r : solver_.touched) stats_[r].current_load = 0.0;
+
   // flows_ is id-ordered, so the solver sees flows in a canonical sequence
   // and rate/float-sum results depend only on the live flow set.
-  std::vector<SolverFlow> sf;
-  sf.reserve(flows_.size());
+  solver_flows_.clear();
   for (const auto& [id, f] : flows_) {
-    sf.push_back(SolverFlow{f.path, f.rate_cap});
+    solver_flows_.push_back(SolverFlow{f.path, f.rate_cap});
   }
-  const SolveResult res = solve_max_min(capacity_, sf);
+  solve_max_min(capacity_, solver_flows_, solver_);
+  ++solves_;
+  solved_flows_ += solver_flows_.size();
+  solved_resources_ += solver_.touched.size();
 
   aggregate_rate_ = 0.0;
   double min_completion_s = kUnbounded;
   std::size_t i = 0;
   for (auto& [id, f] : flows_) {
-    f.rate = res.rate[i++];
+    f.rate = solver_.rate[i++];
     aggregate_rate_ += f.rate;
     if (f.rate > 0.0) {
       min_completion_s = std::min(min_completion_s, f.remaining / f.rate);
     }
   }
-  for (std::size_t r = 0; r < capacity_.size(); ++r) {
-    stats_[r].current_load = res.utilization[r];
+  for (ResourceId r : solver_.touched) {
+    stats_[r].current_load = solver_.utilization[r];
   }
 
   if (!std::isinf(min_completion_s)) {
@@ -149,6 +149,24 @@ void FlowNetwork::on_completion_event() {
     if (cb) cb(id, now);
   }
   resolve();
+}
+
+void FlowNetwork::activate(FlowId id, FlowDesc desc) {
+  advance_progress();
+  ActiveFlow f;
+  f.path = std::move(desc.path);
+  f.size = desc.size;
+  f.remaining = desc.size;
+  f.rate_cap = desc.rate_cap;
+  f.on_complete = std::move(desc.on_complete);
+  for (const auto& hop : f.path) ++stats_[hop.resource].flows_seen;
+  flows_.emplace(id, std::move(f));
+  resolve();
+}
+
+double FlowNetwork::flow_rate(FlowId id) const {
+  auto it = flows_.find(id);
+  return it == flows_.end() ? 0.0 : it->second.rate;
 }
 
 }  // namespace spider::sim

@@ -8,11 +8,18 @@
 // Each resource additionally records telemetry (cumulative units served,
 // busy-time integral, current load) feeding the monitoring tools (DDN tool,
 // health checks) and libPIO's load-aware placement.
+//
+// Cost is O(touched), not O(resources): a re-solve and the telemetry walks
+// visit only the resources on live flows' paths (the *touched set* of the
+// last resolve), so a center of thousands of resources with a handful of
+// active flows pays for the handful. Untouched resources would only ever
+// receive +0.0 served and a zero load, so skipping them changes no bits.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -57,7 +64,8 @@ class FlowNetwork {
 
   /// Start a flow now; completion fires after latency + transfer.
   FlowId start_flow(FlowDesc desc);
-  /// Abort a flow (no completion callback). No-op for unknown ids.
+  /// Abort a flow (no completion callback), including one still in its
+  /// latency window, which then never activates. No-op for unknown ids.
   void cancel_flow(FlowId id);
 
   std::size_t active_flows() const { return flows_.size(); }
@@ -67,6 +75,13 @@ class FlowNetwork {
   double aggregate_rate() const { return aggregate_rate_; }
   /// Sum of completed flow sizes.
   double total_delivered() const { return total_delivered_; }
+
+  /// Solver counters for the layer profile: plain deterministic counts.
+  /// solves() is the number of max-min solves so far; solved_flows() and
+  /// solved_resources() sum the flows and the touched resources per solve.
+  std::uint64_t solves() const { return solves_; }
+  std::uint64_t solved_flows() const { return solved_flows_; }
+  std::uint64_t solved_resources() const { return solved_resources_; }
 
  private:
   struct ActiveFlow {
@@ -78,7 +93,12 @@ class FlowNetwork {
     std::function<void(FlowId, SimTime)> on_complete;
   };
 
-  /// Integrate progress of all active flows since last_update_.
+  /// Add a flow whose latency has elapsed and re-solve.
+  void activate(FlowId id, FlowDesc desc);
+  /// Integrate progress of all active flows since last_update_. Telemetry
+  /// is folded in over the last resolve's touched set only: every change
+  /// to flows_ is followed by a resolve within the same event, so at a
+  /// later instant flows_ is exactly the set that resolve solved.
   void advance_progress();
   /// Re-solve rates and schedule the next completion event.
   void resolve();
@@ -93,12 +113,24 @@ class FlowNetwork {
   /// insertion/cancellation history. Float accumulation order is therefore a
   /// function of the live flow set alone, never of hash-table state.
   std::map<FlowId, ActiveFlow> flows_;
+  /// Flows started with a latency that have not activated yet; cancelling
+  /// one removes it here, and its activation then does nothing.
+  std::set<FlowId> pending_;
+  /// Solver state reused across resolves so a resolve allocates nothing:
+  /// the workspace (its touched set doubles as the telemetry set), the
+  /// solver's view of flows_, and per-resource progress of one interval.
+  MaxMinWorkspace solver_;
+  std::vector<SolverFlow> solver_flows_;
+  std::vector<double> moved_;
   FlowId next_flow_id_ = 1;
   SimTime last_update_ = 0;
   EventId completion_event_ = 0;
   bool completion_scheduled_ = false;
   double aggregate_rate_ = 0.0;
   double total_delivered_ = 0.0;
+  std::uint64_t solves_ = 0;
+  std::uint64_t solved_flows_ = 0;
+  std::uint64_t solved_resources_ = 0;
 };
 
 }  // namespace spider::sim

@@ -6,19 +6,37 @@
 
 namespace spider::sim {
 
-SolveResult solve_max_min(std::span<const double> capacity,
-                          std::span<const SolverFlow> flows) {
+void solve_max_min(std::span<const double> capacity,
+                   std::span<const SolverFlow> flows, MaxMinWorkspace& ws) {
   const std::size_t nr = capacity.size();
   const std::size_t nf = flows.size();
-  SolveResult out;
-  out.rate.assign(nf, 0.0);
-  out.utilization.assign(nr, 0.0);
-  if (nf == 0) return out;
 
-  std::vector<double> residual(capacity.begin(), capacity.end());
-  std::vector<double> active_cost(nr, 0.0);
-  std::vector<char> frozen(nf, 0);
-  std::vector<char> saturated(nr, 0);
+  // Return the previous solve's entries to zero, then grow to this
+  // capacity vector (new entries arrive zeroed).
+  for (ResourceId r : ws.touched) {
+    ws.active_cost[r] = 0.0;
+    ws.utilization[r] = 0.0;
+    ws.saturated[r] = 0;
+    ws.seen[r] = 0;
+  }
+  ws.touched.clear();
+  if (ws.seen.size() < nr) {
+    ws.residual.resize(nr, 0.0);
+    ws.active_cost.resize(nr, 0.0);
+    ws.utilization.resize(nr, 0.0);
+    ws.saturated.resize(nr, 0);
+    ws.seen.resize(nr, 0);
+  }
+  ws.rate.assign(nf, 0.0);
+  ws.frozen.assign(nf, 0);
+  if (nf == 0) return;
+
+  std::vector<double>& rate = ws.rate;
+  std::vector<double>& residual = ws.residual;
+  std::vector<double>& active_cost = ws.active_cost;
+  std::vector<char>& frozen = ws.frozen;
+  std::vector<char>& saturated = ws.saturated;
+  const std::vector<ResourceId>& touched = ws.touched;
 
   // A resource counts as saturated when its residual falls below this
   // fraction of original capacity (or an absolute floor for zero-capacity
@@ -31,19 +49,24 @@ SolveResult solve_max_min(std::span<const double> capacity,
   for (std::size_t f = 0; f < nf; ++f) {
     if (flows[f].path.empty()) {
       // Pathless flow: rate is just its cap (0 if unbounded, to stay finite).
-      out.rate[f] = std::isinf(flows[f].rate_cap) ? 0.0 : flows[f].rate_cap;
+      rate[f] = std::isinf(flows[f].rate_cap) ? 0.0 : flows[f].rate_cap;
       frozen[f] = 1;
       continue;
     }
     ++unfrozen;
     for (const auto& hop : flows[f].path) {
       assert(hop.resource < nr);
+      if (!ws.seen[hop.resource]) {
+        ws.seen[hop.resource] = 1;
+        ws.touched.push_back(hop.resource);
+        residual[hop.resource] = capacity[hop.resource];
+      }
       active_cost[hop.resource] += hop.cost;
     }
   }
 
   // Immediately saturated resources (zero capacity) pin their flows.
-  for (std::size_t r = 0; r < nr; ++r) {
+  for (ResourceId r : touched) {
     if (capacity[r] <= sat_eps(r) && active_cost[r] > 0.0) saturated[r] = 1;
   }
 
@@ -61,7 +84,7 @@ SolveResult solve_max_min(std::span<const double> capacity,
         }
       }
       if (hit) {
-        out.rate[f] = std::min(level, flows[f].rate_cap);
+        rate[f] = std::min(level, flows[f].rate_cap);
         frozen[f] = 1;
         --unfrozen;
         froze_any = true;
@@ -73,7 +96,7 @@ SolveResult solve_max_min(std::span<const double> capacity,
     // Largest uniform rate increment before a resource saturates or a flow
     // hits its cap.
     double delta = kUnbounded;
-    for (std::size_t r = 0; r < nr; ++r) {
+    for (ResourceId r : touched) {
       if (saturated[r] || active_cost[r] <= 1e-15) continue;
       delta = std::min(delta, residual[r] / active_cost[r]);
     }
@@ -89,7 +112,7 @@ SolveResult solve_max_min(std::span<const double> capacity,
       // Remaining flows consume nothing and have no cap; pin at level.
       for (std::size_t f = 0; f < nf; ++f) {
         if (!frozen[f]) {
-          out.rate[f] = level;
+          rate[f] = level;
           frozen[f] = 1;
           --unfrozen;
         }
@@ -99,13 +122,13 @@ SolveResult solve_max_min(std::span<const double> capacity,
 
     if (delta > 0.0) {
       level += delta;
-      for (std::size_t r = 0; r < nr; ++r) {
+      for (ResourceId r : touched) {
         if (active_cost[r] > 0.0) residual[r] -= active_cost[r] * delta;
       }
     }
 
     // Mark newly saturated resources.
-    for (std::size_t r = 0; r < nr; ++r) {
+    for (ResourceId r : touched) {
       if (!saturated[r] && active_cost[r] > 0.0 && residual[r] <= sat_eps(r)) {
         saturated[r] = 1;
         froze_any = true;  // the next loop pass will freeze its flows
@@ -116,7 +139,7 @@ SolveResult solve_max_min(std::span<const double> capacity,
     if (cap_binds) {
       for (std::size_t f = 0; f < nf; ++f) {
         if (frozen[f] || flows[f].rate_cap > level + 1e-12 * (1.0 + level)) continue;
-        out.rate[f] = flows[f].rate_cap;
+        rate[f] = flows[f].rate_cap;
         frozen[f] = 1;
         --unfrozen;
         froze_any = true;
@@ -128,7 +151,7 @@ SolveResult solve_max_min(std::span<const double> capacity,
       // Defensive: no progress possible (degenerate numerics); pin the rest.
       for (std::size_t f = 0; f < nf; ++f) {
         if (!frozen[f]) {
-          out.rate[f] = std::min(level, flows[f].rate_cap);
+          rate[f] = std::min(level, flows[f].rate_cap);
           frozen[f] = 1;
           --unfrozen;
         }
@@ -138,16 +161,24 @@ SolveResult solve_max_min(std::span<const double> capacity,
   }
 
   // Utilization report: one pass over all flow hops.
-  std::vector<double> used(nr, 0.0);
+  std::vector<double>& used = ws.utilization;
   for (std::size_t f = 0; f < nf; ++f) {
     for (const auto& hop : flows[f].path) {
-      used[hop.resource] += out.rate[f] * hop.cost;
+      used[hop.resource] += rate[f] * hop.cost;
     }
   }
-  for (std::size_t r = 0; r < nr; ++r) {
-    out.utilization[r] = capacity[r] > 0.0 ? std::min(1.0, used[r] / capacity[r]) : 0.0;
+  for (ResourceId r : touched) {
+    used[r] = capacity[r] > 0.0 ? std::min(1.0, used[r] / capacity[r]) : 0.0;
   }
-  return out;
+}
+
+SolveResult solve_max_min(std::span<const double> capacity,
+                          std::span<const SolverFlow> flows) {
+  MaxMinWorkspace ws;
+  solve_max_min(capacity, flows, ws);
+  // A fresh workspace is exactly capacity-sized and zero off the touched
+  // set, so its utilization array already is the dense report.
+  return SolveResult{std::move(ws.rate), std::move(ws.utilization)};
 }
 
 }  // namespace spider::sim

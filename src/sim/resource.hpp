@@ -48,12 +48,48 @@ struct SolveResult {
   std::vector<double> utilization;  ///< per resource, in [0, 1]
 };
 
+/// Reusable working state and output of the sparse max-min core. The arrays
+/// indexed by ResourceId grow to the largest capacity vector seen and are
+/// only read or written at `touched` entries, so a solve costs O(flow hops
+/// x rounds) however many resources exist. Reusing one workspace across
+/// solves makes them allocation-free once the buffers have grown.
+struct MaxMinWorkspace {
+  /// Output: per flow, units/sec.
+  std::vector<double> rate;
+  /// Output: the resources on the flows' paths, in first-seen order (flow
+  /// order, then hop order). Valid until the next solve.
+  std::vector<ResourceId> touched;
+  /// Output, by ResourceId: utilization in [0, 1]. Meaningful at `touched`
+  /// entries; zero everywhere else.
+  std::vector<double> utilization;
+
+  // Working arrays by ResourceId. residual is set when a resource joins the
+  // touched set; the rest are zero outside it, and the next solve returns
+  // the previous touched entries to zero before it starts.
+  std::vector<double> residual;
+  std::vector<double> active_cost;
+  std::vector<char> saturated;
+  std::vector<char> seen;
+  // Working array by flow.
+  std::vector<char> frozen;
+};
+
 /// Progressive-filling max-min allocation.
 ///
 /// capacity[r] is resource r's capacity in units/sec; a zero-capacity
 /// resource pins every flow crossing it (with positive cost) to rate 0.
 /// Flows with empty paths get min(rate_cap, 0 if cap unbounded) — callers
 /// should give pathless flows a finite cap.
+///
+/// The sparse core: results land in `ws` (see MaxMinWorkspace). Every
+/// per-resource sum accumulates in flow order and every per-resource test
+/// reads only that resource, so the result is bit-identical to a sweep over
+/// all of `capacity`.
+void solve_max_min(std::span<const double> capacity,
+                   std::span<const SolverFlow> flows, MaxMinWorkspace& ws);
+
+/// Dense entry point: the same core on a private workspace, with
+/// utilization scattered into a capacity-sized vector.
 SolveResult solve_max_min(std::span<const double> capacity,
                           std::span<const SolverFlow> flows);
 

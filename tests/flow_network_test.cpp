@@ -102,6 +102,68 @@ TEST_F(Fixture, CancelFlowSkipsCallback) {
   EXPECT_EQ(net.active_flows(), 0u);
 }
 
+TEST_F(Fixture, CancelDuringLatencyWindowNeverActivates) {
+  const auto r = net.add_resource("link", 10.0);
+  int fired = 0;
+  FlowDesc d;
+  d.path = {{r, 1.0}};
+  d.size = 10.0;
+  d.latency = 5 * kSecond;
+  d.on_complete = [&](FlowId, SimTime) { ++fired; };
+  const FlowId id = net.start_flow(std::move(d));
+  sim.schedule_in(kSecond, [&] { net.cancel_flow(id); });
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(net.total_delivered(), 0.0);
+  EXPECT_EQ(net.stats(r).flows_seen, 0u);
+  // The dead activation scheduled nothing and re-solved nothing.
+  EXPECT_EQ(net.solves(), 0u);
+  EXPECT_EQ(sim.now(), 5 * kSecond);
+  net.cancel_flow(id);  // unknown by now: still a no-op
+}
+
+TEST_F(Fixture, SolverCountersAreOTouched) {
+  // One 3-hop flow in a 100k-resource center: every solve touches exactly
+  // the three resources on its path, however many exist.
+  for (int i = 0; i < 100000; ++i) net.add_resource("r", 100.0);
+  FlowDesc d;
+  d.path = {{7, 1.0}, {50000, 1.0}, {99999, 2.0}};
+  d.size = 100.0;
+  net.start_flow(std::move(d));
+  EXPECT_EQ(net.solves(), 1u);
+  EXPECT_EQ(net.solved_flows(), 1u);
+  EXPECT_EQ(net.solved_resources(), 3u);
+  sim.schedule_in(kSecond / 4, [&] { net.set_capacity(50000, 10.0); });
+  sim.run();
+  // Start, capacity change, completion (which solves an empty set).
+  EXPECT_EQ(net.solves(), 3u);
+  EXPECT_EQ(net.solved_flows(), 2u);
+  EXPECT_EQ(net.solved_resources(), 6u);
+}
+
+TEST_F(Fixture, CurrentLoadReturnsToExactZero) {
+  const auto a = net.add_resource("a", 30.0);
+  const auto b = net.add_resource("b", 70.0 / 3.0);
+  const auto c = net.add_resource("c", 100.0);
+  FlowDesc short_flow;
+  short_flow.path = {{a, 1.0}, {b, 1.0}};
+  short_flow.size = 10.0 / 3.0;
+  FlowDesc long_flow;
+  long_flow.path = {{b, 1.0}, {c, 1.0}};
+  long_flow.size = 100.0 / 3.0;
+  net.start_flow(std::move(short_flow));
+  const FlowId long_id = net.start_flow(std::move(long_flow));
+  EXPECT_GT(net.stats(a).current_load, 0.0);
+  EXPECT_GT(net.stats(b).current_load, 0.99);
+  // Once the short flow completes, `a` carries nothing; `b` still does.
+  sim.run(sim.now() + kSecond);
+  EXPECT_EQ(net.active_flows(), 1u);
+  EXPECT_EQ(net.stats(a).current_load, 0.0);
+  EXPECT_GT(net.stats(b).current_load, 0.0);
+  net.cancel_flow(long_id);
+  for (ResourceId r : {a, b, c}) EXPECT_EQ(net.stats(r).current_load, 0.0);
+}
+
 TEST_F(Fixture, CompletionCallbackCanStartNewFlow) {
   const auto r = net.add_resource("link", 100.0);
   int completions = 0;

@@ -176,6 +176,32 @@ TEST(Allocator, FailsCleanlyWhenFull) {
   for (Ost* o : fleet.ptrs) EXPECT_EQ(o->used(), o->capacity());
 }
 
+TEST(Allocator, ResizeMovesBytesNotObjects) {
+  Fleet fleet(2);
+  OstAllocator alloc(fleet.ptrs, AllocatorMode::kRoundRobin);
+  Rng rng(6);
+  const auto chosen = alloc.allocate(2, 2_GiB, rng);
+  ASSERT_EQ(chosen.size(), 2u);
+  ASSERT_TRUE(alloc.resize(chosen, 2_GiB, 4_GiB));  // grow
+  for (Ost* o : fleet.ptrs) {
+    EXPECT_EQ(o->used(), 2_GiB);
+    EXPECT_EQ(o->object_count(), 1u);
+  }
+  ASSERT_TRUE(alloc.resize(chosen, 4_GiB, 1_GiB));  // shrink
+  for (Ost* o : fleet.ptrs) {
+    EXPECT_EQ(o->used(), 512_MiB);
+    EXPECT_EQ(o->object_count(), 1u);
+  }
+  // A grow that fits on OST 0 but not OST 1 rolls OST 0 back too.
+  fleet.ptrs[1]->set_used(fleet.ptrs[1]->capacity() - 1_MiB);
+  EXPECT_FALSE(alloc.resize(chosen, 1_GiB, 2_GiB));
+  EXPECT_EQ(fleet.ptrs[0]->used(), 512_MiB);
+  for (Ost* o : fleet.ptrs) EXPECT_EQ(o->object_count(), 1u);
+  alloc.release(chosen, 1_GiB);
+  EXPECT_EQ(fleet.ptrs[0]->used(), 0u);
+  for (Ost* o : fleet.ptrs) EXPECT_EQ(o->object_count(), 0u);
+}
+
 // --- MDS -------------------------------------------------------------------------
 
 TEST(Mds, DneScalesCapacity) {

@@ -17,6 +17,7 @@
 // fsck that reports clean on damage would pass every other test here).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -255,3 +256,28 @@ TEST(FsckJournal, RepairAdvancesCommittedCursorOverBackfilledTail) {
 }
 
 }  // namespace
+
+// Crash-free resize churn moves bytes on a file's existing stripe objects
+// and must leave the OST object counters matching the stripe maps: the
+// first fsck pass is clean, with no orphan- or lost-objects findings.
+TEST(FsckResize, ChurnStyleResizesLeaveACleanFirstPass) {
+  tools::SyntheticFs fs = tools::make_synthetic_fs();
+  fs.ns->attach_oplog(fs.journal.get());
+  std::vector<fs::FileId> live = fs.ns->live_ids();
+  std::sort(live.begin(), live.end());
+  ASSERT_FALSE(live.empty());
+  Rng rng(2014);
+  sim::SimTime now = 1000 * sim::kSecond;
+  std::size_t resized = 0;
+  for (int round = 0; round < 400; ++round) {
+    now += sim::kSecond;
+    const fs::FileId victim = live[rng.uniform_index(live.size())];
+    // Within [1/2, 2) of a nominal 32 MiB, as the churn scenario resizes.
+    const Bytes new_size = 16_MiB + rng.uniform_index(48_MiB);
+    if (fs.ns->resize_file(victim, new_size, now)) ++resized;
+  }
+  fs.journal->commit(fs.journal->last_txid());
+  EXPECT_GT(resized, 300u);
+  const tools::FsckReport report = tools::run_fsck(fs.target());
+  EXPECT_TRUE(report.clean()) << tools::fsck_report_json(report);
+}
