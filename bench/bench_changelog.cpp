@@ -25,12 +25,14 @@
 //   --smoke              seconds-long run sized for CI
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "fs/changelog.hpp"
 #include "tools/lustredu.hpp"
 #include "tools/spiderfsck/fsck.hpp"
@@ -106,13 +108,14 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
   bench::JsonReport report("changelog", smoke ? "smoke" : "full");
   bench::ShapeChecker checker;
 
-  std::string baseline_text;
-  if (!baseline_path.empty() &&
-      !bench::read_text_file(baseline_path, baseline_text)) {
+  const std::optional<std::string> baseline =
+      baseline_path.empty() ? std::string() : read_file(baseline_path);
+  if (!baseline) {
     std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
                  baseline_path.c_str());
     return 1;
   }
+  const std::string& baseline_text = *baseline;
   const auto gate = [&](const std::string& name, const char* metric,
                         double measured) {
     if (baseline_text.empty()) return;

@@ -16,11 +16,13 @@
 //   --smoke              seconds-long run sized for CI
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/text.hpp"
 #include "tools/lint/lint.hpp"
 #include "tools/lint/report.hpp"
 
@@ -89,13 +91,15 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
   bench::JsonReport report("lint", smoke ? "smoke" : "full");
   bench::ShapeChecker checker;
 
-  std::string baseline_text;
-  if (!baseline_path.empty() &&
-      !bench::read_text_file(baseline_path, baseline_text)) {
+  const std::optional<std::string> baseline =
+      baseline_path.empty() ? std::string()
+                            : spider::read_file(baseline_path);
+  if (!baseline) {
     std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
                  baseline_path.c_str());
     return 1;
   }
+  const std::string& baseline_text = *baseline;
 
   const auto add = [&report](const std::string& name, const LintRun& r) {
     report.add(name, "files_per_sec", r.files_per_sec);

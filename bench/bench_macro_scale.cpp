@@ -23,12 +23,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
+#include "common/text.hpp"
 #include "core/scale_scenario.hpp"
 #include "net/fabric.hpp"
 #include "sim/sharded_sim.hpp"
@@ -120,13 +122,14 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
                 name.c_str(), r.events_per_sec, r.events, r.elapsed_s);
   };
 
-  std::string baseline_text;
-  if (!baseline_path.empty() &&
-      !bench::read_text_file(baseline_path, baseline_text)) {
+  const std::optional<std::string> baseline =
+      baseline_path.empty() ? std::string() : read_file(baseline_path);
+  if (!baseline) {
     std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
                  baseline_path.c_str());
     return 1;
   }
+  const std::string& baseline_text = *baseline;
   const auto gate = [&](const std::string& name, const ScaleRun& r) {
     if (baseline_text.empty()) return;
     double base = 0.0;

@@ -17,12 +17,14 @@
 
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "core/center.hpp"
 #include "core/spider_config.hpp"
 #include "engine_measure.hpp"
@@ -217,12 +219,14 @@ int run_spider_json(const std::string& json_path,
                 "schedule+cancel churn outpaces full dispatch");
 
   if (!baseline_path.empty()) {
-    std::string text;
-    if (!spider::bench::read_text_file(baseline_path, text)) {
+    const std::optional<std::string> baseline =
+        spider::read_file(baseline_path);
+    if (!baseline) {
       std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
                    baseline_path.c_str());
       return 1;
     }
+    const std::string& text = *baseline;
     const auto gate = [&](const char* name, const Measurement& m) {
       double base = 0.0;
       if (!spider::bench::json_number(text, name, "ops_per_sec", base)) {

@@ -126,15 +126,4 @@ inline bool json_number(const std::string& text, const std::string& group,
   return true;
 }
 
-/// Read a whole file into a string; empty optional-style: returns false when
-/// the file cannot be opened.
-inline bool read_text_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
 }  // namespace spider::bench

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Static-analysis driver: spiderlint (always) + clang-tidy (when installed).
+# Static-analysis runner: spiderlint (always) + clang-tidy (when installed),
+# plus a grep stage against private copies of the src/common/ helpers.
 #
 # spiderlint is the in-tree determinism, unit-safety, architecture,
 # shard-concurrency, and crash-consistency pass (rules L1-L16, see
@@ -150,6 +151,29 @@ status=0
 "${BUILD_DIR}/tools/spiderlint" "${SPIDERLINT_ARGS[@]+"${SPIDERLINT_ARGS[@]}"}" \
     "${PATHS[@]}" || status=$?
 if [ "$status" -ge 2 ]; then exit "$status"; fi
+
+# One hash, one JSON escape, one number parser (docs/correctness.md#hashing):
+# the FNV constants and the shared text helpers are defined in src/common/
+# only. A private copy anywhere else in src/, tests/ or bench/ (the decimal
+# FNV constants, or a function or lambda named json_escape, to_hex or
+# parse_count) fails the lint. Calls are told apart from definitions by the
+# type or `auto` in front of the name; statements opening with a keyword
+# (`return to_hex(v);`) are calls.
+echo "=== shared-helper copies ==="
+copies="$(grep -rnE --include='*.cpp' --include='*.cc' --include='*.hpp' \
+    --include='*.h' --include='*.hh' \
+    -e '1099511628211|1469598103934665603' \
+    -e '^[[:space:]]*((static|inline|constexpr)[[:space:]]+)*[A-Za-z_][A-Za-z0-9_:<>]*[&*]?[[:space:]]+[&*]?(json_escape|to_hex|parse_count)[[:space:]]*\(' \
+    -e '(auto|function<.*>)[[:space:]]+[&*]?(json_escape|to_hex|parse_count)[[:space:]]*=' \
+    src tests bench |
+  grep -v '^src/common/' |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*(return|co_return|else|throw|case|delete|new)[[:space:]]' ||
+  true)"
+if [ -n "$copies" ]; then
+  printf '%s\n' "$copies"
+  echo "shared-helper copies: use common/hash.hpp or common/text.hpp instead" >&2
+  status=1
+fi
 
 # clang-tidy is optional tooling (not in every container image): run it when
 # present, note the skip when not — never fail for a missing binary.

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/text.hpp"
 
 namespace spider::sim {
 
@@ -48,25 +51,33 @@ std::string strip(const std::string& s) {
 }
 
 double parse_double(const std::string& value, std::size_t line_no) {
-  std::size_t used = 0;
   double d = 0.0;
-  try {
-    d = std::stod(value, &used);
-  } catch (const std::exception&) {
-    parse_error(line_no, "expected a number, got '" + value + "'");
-  }
-  if (used != value.size()) {
-    parse_error(line_no, "trailing junk after number in '" + value + "'");
+  if (!parse_finite(value, d)) {
+    parse_error(line_no, "expected a finite number, got '" + value + "'");
   }
   return d;
 }
 
-std::uint64_t parse_u64(const std::string& value, std::size_t line_no) {
-  const double d = parse_double(value, line_no);
-  if (d < 0.0 || d != std::floor(d)) {
-    parse_error(line_no, "expected a non-negative integer, got '" + value + "'");
+/// Seconds that from_seconds() can convert.
+double parse_seconds(const std::string& value, std::size_t line_no) {
+  const double s = parse_double(value, line_no);
+  if (!fits_sim_time(s)) {
+    parse_error(line_no, "seconds out of range, got '" + value + "'");
   }
-  return static_cast<std::uint64_t>(d);
+  return s;
+}
+
+template <typename UInt>
+UInt parse_uint(const std::string& value, std::size_t line_no) {
+  constexpr UInt kMax = std::numeric_limits<UInt>::max();
+  const double d = parse_double(value, line_no);
+  // kMax + 1.0 rounds to exactly 2^32 or 2^64: the first value the cast
+  // below cannot represent.
+  if (d < 0.0 || d != std::floor(d) || d >= static_cast<double>(kMax) + 1.0) {
+    parse_error(line_no, "expected an integer in [0, " + std::to_string(kMax) +
+                             "], got '" + value + "'");
+  }
+  return static_cast<UInt>(d);
 }
 
 std::string unquote(const std::string& value) {
@@ -137,9 +148,9 @@ FaultPlan parse_fault_plan(const std::string& text) {
         if (key == "name") {
           plan.name = value;
         } else if (key == "seed") {
-          plan.seed = parse_u64(value, line_no);
+          plan.seed = parse_uint<std::uint64_t>(value, line_no);
         } else if (key == "horizon_s") {
-          plan.horizon_s = parse_double(value, line_no);
+          plan.horizon_s = parse_seconds(value, line_no);
         } else {
           parse_error(line_no, "unknown plan key '" + key + "'");
         }
@@ -150,21 +161,21 @@ FaultPlan parse_fault_plan(const std::string& text) {
       } else if (key == "trigger") {
         current->trigger = trigger_kind_from_string(value);
       } else if (key == "at_s") {
-        current->at = from_seconds(parse_double(value, line_no));
+        current->at = from_seconds(parse_seconds(value, line_no));
+        if (current->at < 0) parse_error(line_no, "at_s must be >= 0");
       } else if (key == "duration_s") {
-        current->duration = from_seconds(parse_double(value, line_no));
+        current->duration = from_seconds(parse_seconds(value, line_no));
       } else if (key == "poll_s") {
-        current->poll = from_seconds(parse_double(value, line_no));
+        current->poll = from_seconds(parse_seconds(value, line_no));
+        if (current->poll <= 0) parse_error(line_no, "poll_s must be > 0");
       } else if (key == "group") {
-        current->group = static_cast<std::uint32_t>(parse_u64(value, line_no));
+        current->group = parse_uint<std::uint32_t>(value, line_no);
       } else if (key == "member") {
-        current->member = static_cast<std::uint32_t>(parse_u64(value, line_no));
+        current->member = parse_uint<std::uint32_t>(value, line_no);
       } else if (key == "enclosure") {
-        current->enclosure =
-            static_cast<std::uint32_t>(parse_u64(value, line_no));
+        current->enclosure = parse_uint<std::uint32_t>(value, line_no);
       } else if (key == "resource") {
-        current->resource =
-            static_cast<std::uint32_t>(parse_u64(value, line_no));
+        current->resource = parse_uint<std::uint32_t>(value, line_no);
       } else if (key == "magnitude") {
         current->magnitude = parse_double(value, line_no);
       } else if (key == "threshold") {
@@ -178,10 +189,6 @@ FaultPlan parse_fault_plan(const std::string& text) {
       if (what.rfind("fault plan line", 0) == 0) throw;
       parse_error(line_no, what);
     }
-  }
-  for (const Injection& inj : plan.injections) {
-    if (inj.at < 0) throw std::invalid_argument("injection time must be >= 0");
-    if (inj.poll <= 0) throw std::invalid_argument("poll cadence must be > 0");
   }
   return plan;
 }

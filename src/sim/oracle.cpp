@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/text.hpp"
 #include "sim/flow_network.hpp"
 
 namespace spider::sim {
@@ -112,22 +113,21 @@ class FlowConservationOracle final : public Oracle {
   std::size_t checked_ = 0;  ///< resources seen at the previous sweep
 };
 
-void json_escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-}
-
 }  // namespace
 
 std::unique_ptr<Oracle> make_oracle(std::string name, OracleCheckFn check) {
   return std::make_unique<LambdaOracle>(std::move(name), std::move(check));
+}
+
+std::string violations_json(const std::vector<OracleViolation>& violations) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < violations.size(); ++i) {
+    os << (i > 0 ? ", " : "") << "{\"oracle\": \""
+       << json_escape(violations[i].oracle)
+       << "\", \"at_s\": " << to_seconds(violations[i].at)
+       << ", \"detail\": \"" << json_escape(violations[i].detail) << "\"}";
+  }
+  return "[" + os.str() + "]";
 }
 
 Oracle& OracleSuite::add(std::unique_ptr<Oracle> oracle) {
@@ -179,21 +179,6 @@ std::vector<std::string> OracleSuite::fired_oracles() const {
     if (!seen) names.push_back(v.oracle);
   }
   return names;
-}
-
-std::string violations_json(const std::vector<OracleViolation>& violations) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "{\"oracle\": \"";
-    json_escape(os, violations[i].oracle);
-    os << "\", \"at_s\": " << to_seconds(violations[i].at) << ", \"detail\": \"";
-    json_escape(os, violations[i].detail);
-    os << "\"}";
-  }
-  os << "]";
-  return os.str();
 }
 
 std::unique_ptr<Oracle> make_flow_conservation_oracle(const FlowNetwork& net) {

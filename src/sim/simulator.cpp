@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/hash.hpp"
+
 namespace spider::sim {
 
 const char* source_basename(const char* path) {
@@ -19,14 +21,9 @@ std::uint64_t site_hash(const std::source_location& loc) {
   // (not the pointer) makes the value reproducible across runs and builds;
   // dropping the directory prefix makes it reproducible across *checkouts*,
   // so replay hashes can be compared between machines and CI.
-  const char* name = source_basename(loc.file_name());
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char* p = name; *p; ++p) {
-    h ^= static_cast<unsigned char>(*p);
-    h *= 1099511628211ull;
-  }
-  h ^= loc.line();
-  h *= 1099511628211ull;
+  std::uint64_t h = hash_bytes(kFnvOffset, source_basename(loc.file_name()));
+  h ^= loc.line();  // one word-wide step, not hash_u64: pinned in every hash
+  h *= kFnvPrime;
   return h;
 }
 

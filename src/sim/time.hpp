@@ -24,6 +24,13 @@ inline constexpr SimTime from_seconds(double s) {
   return static_cast<SimTime>(s * static_cast<double>(kSecond));
 }
 
+/// True when from_seconds(s) is defined: s is finite and s seconds fit in
+/// SimTime (|s| below ~292 years). Check external input with it first.
+inline constexpr bool fits_sim_time(double s) {
+  const double ns = s * static_cast<double>(kSecond);
+  return ns > -0x1p63 && ns < 0x1p63;
+}
+
 /// Convert SimTime to fractional seconds.
 // spiderlint: units-ok — this IS the unit boundary: SimTime -> raw seconds
 inline constexpr double to_seconds(SimTime t) {

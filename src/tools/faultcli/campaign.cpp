@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/hash.hpp"
+#include "common/text.hpp"
 #include "fs/recovery.hpp"
 
 namespace spider::tools {
@@ -24,25 +26,21 @@ void fire(std::vector<sim::OracleViolation>& out, std::string oracle,
       sim::OracleViolation{std::move(oracle), now, std::move(detail)});
 }
 
-void json_escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
+/// Fold one fsck stage outcome into a verdict's repair section.
+void fill_repair(RunVerdict& verdict, const FaultCampaign::FsckOutcome& out) {
+  verdict.repair.ran = true;
+  verdict.repair.findings = out.report.findings.size();
+  verdict.repair.repairs = out.report.repairs_applied;
+  for (const Finding& f : out.report.findings) {
+    const std::string name(finding_kind_name(f.kind));
+    if (verdict.repair.kinds.empty() || verdict.repair.kinds.back() != name) {
+      verdict.repair.kinds.push_back(name);
     }
   }
-}
-
-std::string to_hex(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out = "0x";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out += kDigits[(v >> shift) & 0xf];
-  }
-  return out;
+  verdict.repair.findings_hash = out.report.findings_hash;
+  verdict.repair.state_hash = out.report.state_hash;
+  verdict.repair.post_violations = out.post_violations.size();
+  verdict.repair.post_clean = out.post_clean();
 }
 
 }  // namespace
@@ -271,25 +269,17 @@ sim::PlanBounds campaign_bounds(const CampaignConfig& cfg) {
 }
 
 std::uint64_t stream_hash(const sim::ReplayRecorder& recorder) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto fold = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& record : recorder.records()) {
-    fold(static_cast<std::uint64_t>(record.when));
-    fold(record.id);
+  std::uint64_t h = kFnvOffset;
+  for (const auto& r : recorder.records()) {
+    h = hash_u64(hash_u64(h, static_cast<std::uint64_t>(r.when)), r.id);
   }
   return h;
 }
 
 std::string verdict_json(const RunVerdict& verdict) {
   std::ostringstream os;
-  os << "{\"plan\": \"";
-  json_escape(os, verdict.plan);
-  os << "\", \"seed\": " << verdict.seed
+  os << "{\"plan\": \"" << json_escape(verdict.plan)
+     << "\", \"seed\": " << verdict.seed
      << ", \"replay_hash\": \"" << to_hex(verdict.replay_hash)
      << "\", \"stream_hash\": \"" << to_hex(verdict.stream_hash)
      << "\", \"events\": " << verdict.events
@@ -305,9 +295,7 @@ std::string verdict_json(const RunVerdict& verdict) {
        << ", \"repairs\": " << verdict.repair.repairs << ", \"kinds\": [";
     for (std::size_t i = 0; i < verdict.repair.kinds.size(); ++i) {
       if (i > 0) os << ", ";
-      os << "\"";
-      json_escape(os, verdict.repair.kinds[i]);
-      os << "\"";
+      os << "\"" << json_escape(verdict.repair.kinds[i]) << "\"";
     }
     os << "], \"findings_hash\": \"" << to_hex(verdict.repair.findings_hash)
        << "\", \"state_hash\": \"" << to_hex(verdict.repair.state_hash)
@@ -370,6 +358,18 @@ FaultCampaign::FaultCampaign(const sim::FaultPlan& plan, std::uint64_t seed,
   bind_faults();
   bind_triggers();
   add_oracles();
+}
+
+RunVerdict FaultCampaign::run() {
+  prepare();
+  sim_.run(horizon_);
+  return finish();
+}
+
+RunVerdict FaultCampaign::run_with(sim::ShardedSimulator& engine) {
+  prepare();
+  engine.run(horizon_);
+  return finish();
 }
 
 void FaultCampaign::sync_network() {
@@ -631,18 +631,6 @@ void FaultCampaign::prepare() {
   every(cfg_.oracle_interval, [this] { rebuilds_.sample(sim_.now()); });
 }
 
-RunVerdict FaultCampaign::run() {
-  prepare();
-  sim_.run(horizon_);
-  return finish();
-}
-
-RunVerdict FaultCampaign::run_with(sim::ShardedSimulator& engine) {
-  prepare();
-  engine.run(horizon_);
-  return finish();
-}
-
 RunVerdict FaultCampaign::finish() {
   recorder_.record_resource_stats(net_);
 
@@ -669,27 +657,6 @@ RunVerdict run_campaign(const sim::FaultPlan& plan, std::uint64_t seed,
   FaultCampaign campaign(plan, seed, cfg);
   return campaign.run();
 }
-
-namespace {
-
-/// Fold one fsck stage outcome into a verdict's repair section.
-void fill_repair(RunVerdict& verdict, const FaultCampaign::FsckOutcome& out) {
-  verdict.repair.ran = true;
-  verdict.repair.findings = out.report.findings.size();
-  verdict.repair.repairs = out.report.repairs_applied;
-  for (const Finding& f : out.report.findings) {
-    const std::string name(finding_kind_name(f.kind));
-    if (verdict.repair.kinds.empty() || verdict.repair.kinds.back() != name) {
-      verdict.repair.kinds.push_back(name);
-    }
-  }
-  verdict.repair.findings_hash = out.report.findings_hash;
-  verdict.repair.state_hash = out.report.state_hash;
-  verdict.repair.post_violations = out.post_violations.size();
-  verdict.repair.post_clean = out.post_clean();
-}
-
-}  // namespace
 
 RunVerdict run_campaign_checked(const sim::FaultPlan& plan, std::uint64_t seed,
                                 const CampaignConfig& cfg,

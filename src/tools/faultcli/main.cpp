@@ -48,13 +48,13 @@
 // Exit codes: 0 campaign outcome matched expectation, 1 it did not,
 // 2 usage / plan-parse / I/O error.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/text.hpp"
 #include "sim/faultplan.hpp"
 #include "tools/faultcli/campaign.hpp"
 #include "tools/faultcli/churn.hpp"
@@ -74,17 +74,6 @@ int usage(const char* argv0) {
                argv0,
                argv0);
   return 2;
-}
-
-bool parse_count(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
 }
 
 }  // namespace
@@ -126,12 +115,10 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg.starts_with("--horizon-s=")) {
-      try {
-        horizon_s = std::stod(std::string(arg.substr(12)));
-      } catch (const std::exception&) {
+      if (!parse_finite(arg.substr(12), horizon_s) || horizon_s <= 0.0 ||
+          !sim::fits_sim_time(horizon_s)) {
         return usage(argv[0]);
       }
-      if (horizon_s <= 0.0) return usage(argv[0]);
     } else if (arg == "--churn") {
       churn = true;
     } else if (arg.starts_with("--churn-namespaces=")) {
@@ -201,16 +188,14 @@ int main(int argc, char** argv) {
   };
   std::vector<Job> run_jobs;
   for (const std::string& path : plan_paths) {
-    std::ifstream in(path);
-    if (!in) {
+    const std::optional<std::string> text = read_file(path);
+    if (!text) {
       std::fprintf(stderr, "spiderfault: cannot open '%s'\n", path.c_str());
       return 2;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
     sim::FaultPlan plan;
     try {
-      plan = sim::parse_fault_plan(text.str());
+      plan = sim::parse_fault_plan(*text);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "spiderfault: %s: %s\n", path.c_str(), e.what());
       return 2;

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/parallel.hpp"
+#include "common/text.hpp"
 #include "tools/lint/global.hpp"
 
 // spiderlint-file: nondet-ok — steady_clock feeds only the --stats phase
@@ -22,14 +21,6 @@ bool lintable_extension(const fs::path& p) {
   const std::string ext = p.extension().string();
   return ext == ".cpp" || ext == ".cc" || ext == ".hpp" || ext == ".h" ||
          ext == ".hh";
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 }  // namespace

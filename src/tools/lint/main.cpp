@@ -38,13 +38,15 @@
 // Exit codes: 0 clean (after baseline), 1 findings (or stale entries under
 // --stale=error), 2 usage or I/O error.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/text.hpp"
 #include "tools/lint/baseline.hpp"
 #include "tools/lint/fix.hpp"
 #include "tools/lint/lint.hpp"
@@ -207,16 +209,13 @@ int main(int argc, char** argv) {
       have_forced = true;
     } else if (arg.starts_with("--jobs=")) {
       const std::string_view n = arg.substr(7);
-      std::size_t jobs = 0;
-      for (const char c : n) {
-        if (c < '0' || c > '9') {
-          std::fprintf(stderr, "spiderlint: bad --jobs value '%.*s'\n",
-                       static_cast<int>(n.size()), n.data());
-          return usage(argv[0]);
-        }
-        jobs = jobs * 10 + static_cast<std::size_t>(c - '0');
+      std::uint64_t jobs = 0;
+      if (!spider::parse_count(n, jobs)) {
+        std::fprintf(stderr, "spiderlint: bad --jobs value '%.*s'\n",
+                     static_cast<int>(n.size()), n.data());
+        return usage(argv[0]);
       }
-      opts.jobs = jobs;
+      opts.jobs = static_cast<std::size_t>(jobs);
     } else if (arg.starts_with("--only=")) {
       const std::string_view pat = arg.substr(7);
       if (pat.empty()) {
@@ -247,16 +246,13 @@ int main(int argc, char** argv) {
 
   std::size_t stale_count = 0;
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> text = spider::read_file(baseline_path);
+    if (!text) {
       std::fprintf(stderr, "spiderlint: cannot read baseline '%s'\n",
                    baseline_path.c_str());
       return 2;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::vector<BaselineEntry> entries =
-        parse_baseline(buf.str(), errors);
+    const std::vector<BaselineEntry> entries = parse_baseline(*text, errors);
     const std::vector<BaselineEntry> stale = apply_baseline(report, entries);
     stale_count = stale.size();
     if (!opts.report_only.empty()) {
@@ -273,7 +269,7 @@ int main(int argc, char** argv) {
     } else if (prune_baseline) {
       std::size_t pruned = 0;
       const std::string rewritten =
-          prune_baseline_text(buf.str(), stale, pruned);
+          prune_baseline_text(*text, stale, pruned);
       std::ofstream outf(baseline_path,
                          std::ios::binary | std::ios::trunc);
       if (!outf || !(outf << rewritten)) {

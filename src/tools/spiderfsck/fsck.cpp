@@ -9,7 +9,9 @@
 #include <tuple>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
+#include "common/text.hpp"
 #include "fs/recovery.hpp"
 #include "sim/time.hpp"
 
@@ -18,46 +20,6 @@ namespace spider::tools {
 namespace {
 
 constexpr std::size_t kDefaultShards = 8;
-
-// FNV-1a, byte-folded — the same digest discipline stream_hash() uses for
-// replay streams, applied to fsck state and findings.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void fold_str(const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    fold(s.size());
-  }
-};
-
-std::string to_hex(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out = "0x";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out += kDigits[(v >> shift) & 0xf];
-  }
-  return out;
-}
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-}
 
 /// Canonical finding order: repair-phase order and output order. Parallel
 /// scans merge into this order, so output is fan-out-invariant.
@@ -354,14 +316,14 @@ FsckReport run_fsck(const FsckTarget& target, const FsckOptions& options) {
 
   std::stable_sort(report.findings.begin(), report.findings.end(),
                    finding_less);
-  Fnv fh;
+  std::uint64_t fh = kFnvOffset;
   for (const Finding& f : report.findings) {
-    fh.fold(static_cast<std::uint64_t>(f.kind));
-    fh.fold(f.file);
-    fh.fold(static_cast<std::uint64_t>(f.ost));
-    fh.fold_str(f.detail);
+    fh = hash_u64(fh, static_cast<std::uint64_t>(f.kind));
+    fh = hash_u64(fh, f.file);
+    fh = hash_u64(fh, static_cast<std::uint64_t>(f.ost));
+    fh = hash_u64(hash_bytes(fh, f.detail), f.detail.size());
   }
-  report.findings_hash = fh.h;
+  report.findings_hash = fh;
 
   // --- phase 3: serial repair in canonical order --------------------------
   if (options.repair) {
@@ -467,12 +429,9 @@ std::string fsck_report_json(const FsckReport& report) {
     if (i > 0) os << ", ";
     os << "{\"kind\": \"" << finding_kind_name(f.kind)
        << "\", \"file\": " << f.file << ", \"ost\": " << f.ost
-       << ", \"detail\": \"";
-    json_escape(os, f.detail);
-    os << "\", \"repaired\": " << (f.repaired ? "true" : "false")
-       << ", \"repair\": \"";
-    json_escape(os, f.repair);
-    os << "\"}";
+       << ", \"detail\": \"" << json_escape(f.detail)
+       << "\", \"repaired\": " << (f.repaired ? "true" : "false")
+       << ", \"repair\": \"" << json_escape(f.repair) << "\"}";
   }
   os << "]}";
   return os.str();
@@ -483,47 +442,47 @@ std::uint64_t fsck_state_hash(const FsckTarget& target) {
     throw std::invalid_argument("fsck_state_hash: target.ns is required");
   }
   fs::FsNamespace& ns = *target.ns;
-  Fnv fnv;
-  fnv.fold(ns.slot_count());
+  std::uint64_t h = kFnvOffset;
+  h = hash_u64(h, ns.slot_count());
   for (std::size_t slot = 0; slot < ns.slot_count(); ++slot) {
     const fs::FileRecord& rec = ns.slot_record(slot);
-    fnv.fold(rec.id);
-    fnv.fold(rec.project);
-    fnv.fold(rec.size);
-    fnv.fold(static_cast<std::uint64_t>(rec.atime));
-    fnv.fold(static_cast<std::uint64_t>(rec.mtime));
-    fnv.fold(static_cast<std::uint64_t>(rec.ctime));
-    fnv.fold(rec.stripe_offset);
-    fnv.fold(rec.stripe_count);
-    fnv.fold(rec.alive ? 1 : 0);
-    for (std::uint32_t entry : ns.fsck_stripes(rec)) fnv.fold(entry);
+    h = hash_u64(h, rec.id);
+    h = hash_u64(h, rec.project);
+    h = hash_u64(h, rec.size);
+    h = hash_u64(h, static_cast<std::uint64_t>(rec.atime));
+    h = hash_u64(h, static_cast<std::uint64_t>(rec.mtime));
+    h = hash_u64(h, static_cast<std::uint64_t>(rec.ctime));
+    h = hash_u64(h, rec.stripe_offset);
+    h = hash_u64(h, rec.stripe_count);
+    h = hash_u64(h, rec.alive ? 1 : 0);
+    for (std::uint32_t entry : ns.fsck_stripes(rec)) h = hash_u64(h, entry);
   }
-  fnv.fold(ns.live_files());
-  fnv.fold(ns.total_created());
+  h = hash_u64(h, ns.live_files());
+  h = hash_u64(h, ns.total_created());
   for (std::size_t i = 0; i < ns.num_osts(); ++i) {
-    fnv.fold(ns.ost(i).used());
-    fnv.fold(ns.ost(i).object_count());
-    fnv.fold(ns.ost(i).capacity());
+    h = hash_u64(h, ns.ost(i).used());
+    h = hash_u64(h, ns.ost(i).object_count());
+    h = hash_u64(h, ns.ost(i).capacity());
   }
   if (target.journal != nullptr) {
-    fnv.fold(target.journal->size());
+    h = hash_u64(h, target.journal->size());
     for (const fs::OpRecord& rec : target.journal->records()) {
-      fnv.fold(rec.txid);
-      fnv.fold(static_cast<std::uint64_t>(rec.kind));
-      fnv.fold(rec.file);
-      fnv.fold(rec.project);
-      fnv.fold(rec.size);
-      fnv.fold(static_cast<std::uint64_t>(rec.at));
+      h = hash_u64(h, rec.txid);
+      h = hash_u64(h, static_cast<std::uint64_t>(rec.kind));
+      h = hash_u64(h, rec.file);
+      h = hash_u64(h, rec.project);
+      h = hash_u64(h, rec.size);
+      h = hash_u64(h, static_cast<std::uint64_t>(rec.at));
     }
-    fnv.fold(target.journal->committed());
+    h = hash_u64(h, target.journal->committed());
   }
   if (target.dne != nullptr) {
-    fnv.fold(target.dne->mdts());
+    h = hash_u64(h, target.dne->mdts());
     for (std::size_t m = 0; m < target.dne->mdts(); ++m) {
-      fnv.fold(std::bit_cast<std::uint64_t>(target.dne->load_of(m)));
+      h = hash_u64(h, std::bit_cast<std::uint64_t>(target.dne->load_of(m)));
     }
   }
-  return fnv.h;
+  return h;
 }
 
 // --- seeded corruption ------------------------------------------------------

@@ -29,6 +29,7 @@
 #include <string_view>
 
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "tools/spiderfsck/fsck.hpp"
 
 namespace {
@@ -40,17 +41,6 @@ int usage(const char* argv0) {
                "       [--dry-run] [--json]\n",
                argv0);
   return 2;
-}
-
-bool parse_count(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
 }
 
 }  // namespace
@@ -80,12 +70,10 @@ int main(int argc, char** argv) {
       }
       fs_cfg.raid_groups = static_cast<std::size_t>(value);
     } else if (arg.starts_with("--churn=")) {
-      try {
-        fs_cfg.churn = std::stod(std::string(arg.substr(8)));
-      } catch (const std::exception&) {
+      if (!parse_finite(arg.substr(8), fs_cfg.churn) || fs_cfg.churn < 0.0 ||
+          fs_cfg.churn > 1.0) {
         return usage(argv[0]);
       }
-      if (fs_cfg.churn < 0.0 || fs_cfg.churn > 1.0) return usage(argv[0]);
     } else if (arg.starts_with("--seed=")) {
       if (!parse_count(arg.substr(7), fs_cfg.seed)) return usage(argv[0]);
     } else if (arg.starts_with("--corrupt=")) {

@@ -4,21 +4,28 @@
 #include <atomic>
 #include <barrier>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/distributions.hpp"
+#include "common/hash.hpp"
 #include "common/histogram.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/text.hpp"
 #include "common/units.hpp"
 
 namespace spider {
@@ -635,6 +642,110 @@ TEST(StatsProperty, MergeEdgeCases) {
   EXPECT_EQ(e.count(), 2u);
   EXPECT_DOUBLE_EQ(e.mean(), 3.0);
   EXPECT_NEAR(e.variance(), 8.0, 1e-12);  // sample variance of {1, 5}
+}
+
+// --- hash -------------------------------------------------------------------
+
+TEST(Hash, PinnedAtTheRepoBasis) {
+  // The repo basis is not the published FNV-1a 64 basis; "fixing" it would
+  // silently re-pin every golden replay, stream, findings and state hash.
+  static_assert(kFnvOffset == 0x14650fb0739d0383ull);
+  EXPECT_NE(kFnvOffset, 0xcbf29ce484222325ull);
+  EXPECT_NE(hash_bytes(kFnvOffset, ""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(hash_bytes(kFnvOffset, ""), kFnvOffset);
+  EXPECT_EQ(hash_bytes(kFnvOffset, "a"), 0x44bd8ad473cd9906ull);
+  EXPECT_EQ(hash_bytes(kFnvOffset, "spider"), 0x9b9aa13dbf001deeull);
+  EXPECT_EQ(hash_u64(kFnvOffset, 0), 0x47fe0d7eaf8e51e3ull);
+  EXPECT_EQ(hash_u64(kFnvOffset, 0x0123456789abcdefull),
+            0xe1b1f298cfb61863ull);
+  EXPECT_EQ(hash_u64(hash_bytes(kFnvOffset, "spider"), 6),
+            0xe676599aa340eae8ull);
+}
+
+TEST(Hash, U64FoldsLowByteFirst) {
+  // Folding a value's 8 bytes low byte first equals hash_bytes over its
+  // little-endian encoding.
+  const std::string le("\xef\xcd\xab\x89\x67\x45\x23\x01", 8);
+  EXPECT_EQ(hash_u64(kFnvOffset, 0x0123456789abcdefull),
+            hash_bytes(kFnvOffset, le));
+  EXPECT_EQ(hash_bytes(hash_bytes(kFnvOffset, "spi"), "der"),
+            hash_bytes(kFnvOffset, "spider"));
+}
+
+// --- text -------------------------------------------------------------------
+
+TEST(Text, JsonEscapeEmitsNoRawControlBytes) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\t\r"), "\\n\\t\\r");
+  EXPECT_EQ(json_escape(std::string_view("a\x01" "b\x1b\x00", 5)),
+            "a\\u0001b\\u001b\\u0000");
+  EXPECT_EQ(json_escape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");  // >= 0x20 as is
+}
+
+TEST(Text, ToHexIsSixteenLowercaseDigits) {
+  EXPECT_EQ(to_hex(0), "0x0000000000000000");
+  EXPECT_EQ(to_hex(0xeb00dba43860647full), "0xeb00dba43860647f");
+  EXPECT_EQ(to_hex(~0ull), "0xffffffffffffffff");
+}
+
+TEST(Text, ParseCountAcceptsDigitsUpTo64Bits) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_count("0", v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_count("0042", v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(parse_count("18446744073709551615", v));  // 2^64 - 1
+  EXPECT_EQ(v, ~0ull);
+}
+
+TEST(Text, ParseCountRejectsMalformedAndOverflowLeavingOutAlone) {
+  for (const char* bad :
+       {"", "-1", "+1", " 1", "1 ", "12x", "1e3", "0x10", "1.0",
+        "18446744073709551616",    // 2^64
+        "18446744073709551617",    // 2^64 + 1: used to wrap to 1
+        "184467440737095516150"}) {
+    std::uint64_t v = 7;
+    EXPECT_FALSE(parse_count(bad, v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u) << "'" << bad << "'";
+  }
+}
+
+TEST(Text, ParseFiniteAcceptsWholeFiniteNumbers) {
+  double d = 0.0;
+  EXPECT_TRUE(parse_finite("300", d));
+  EXPECT_EQ(d, 300.0);
+  EXPECT_TRUE(parse_finite("0.5", d));
+  EXPECT_EQ(d, 0.5);
+  EXPECT_TRUE(parse_finite("-2.5e3", d));
+  EXPECT_EQ(d, -2500.0);
+  EXPECT_TRUE(parse_finite("1e300", d));
+  EXPECT_EQ(d, 1e300);
+}
+
+TEST(Text, ParseFiniteRejectsJunkAndNonFiniteLeavingOutAlone) {
+  for (const char* bad : {"", " ", "abc", "1.5x", "2s", "1e", "nan", "NaN",
+                          "inf", "-inf", "infinity", "1e309", "-1e309"}) {
+    double d = 7.0;
+    EXPECT_FALSE(parse_finite(bad, d)) << "'" << bad << "'";
+    EXPECT_EQ(d, 7.0) << "'" << bad << "'";
+  }
+  double d = 7.0;
+  EXPECT_FALSE(parse_finite(std::string_view("1\0", 2), d));  // embedded NUL
+}
+
+TEST(Text, ReadFileReturnsBytesOrNullopt) {
+  EXPECT_FALSE(read_file("/nonexistent/spider/read_file_test").has_value());
+  const std::string path = ::testing::TempDir() + "spider_read_file_test.bin";
+  const std::string bytes("a\r\nb\0c", 6);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  const std::optional<std::string> got = read_file(path);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, bytes);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -378,4 +378,22 @@ TEST(FaultCampaign, CampaignBoundsMatchClusterShape) {
   EXPECT_EQ(bounds.resources, 8u);
 }
 
+TEST(VerdictJson, EscapesControlBytesInThePlanName) {
+  // parse_fault_plan keeps inner control bytes of a quoted name; the verdict
+  // line must still be valid JSON.
+  RunVerdict verdict;
+  verdict.plan = parse_fault_plan("name = \"a\x01" "b\x1b\rc\"\n").name;
+  ASSERT_EQ(verdict.plan, "a\x01" "b\x1b\rc");
+  verdict.violations.push_back({"o\x02", kSecond, "d\x03"});
+  const std::string json = verdict_json(verdict);
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(),
+                           [](char c) {
+                             return static_cast<unsigned char>(c) < 0x20;
+                           }))
+      << json;
+  EXPECT_NE(json.find("\"plan\": \"a\\u0001b\\u001b\\rc\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"oracle\": \"o\\u0002\""), std::string::npos) << json;
+}
+
 }  // namespace

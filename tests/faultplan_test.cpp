@@ -110,6 +110,63 @@ TEST(FaultPlanParse, RejectsUnknownKeysAndKinds) {
                std::invalid_argument);
 }
 
+// Parse `text` and require a located diagnostic: std::invalid_argument
+// whose message starts "fault plan line <line>:".
+void expect_line_error(const std::string& text, std::size_t line) {
+  const std::string want = "fault plan line " + std::to_string(line) + ":";
+  try {
+    parse_fault_plan(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(want, 0), 0u)
+        << e.what() << "\nfor: " << text;
+  }
+}
+
+TEST(FaultPlanParse, RejectsNonFiniteAndOutOfRangeNumbersWithLine) {
+  // Non-finite or huge seconds used to reach from_seconds as an
+  // out-of-range double -> int64 cast (UB); huge integers reached the
+  // double -> uint64 cast (UB) or were truncated to 32 bits.
+  for (const char* v : {"inf", "-inf", "nan", "1e300", "1e309", "9.3e9"}) {
+    expect_line_error(std::string("name = \"x\"\nhorizon_s = ") + v + "\n", 2);
+    for (const char* key : {"at_s", "duration_s", "poll_s"}) {
+      expect_line_error(std::string("[[inject]]\nkind = \"disk-fail\"\n") +
+                            key + " = " + v + "\n",
+                        3);
+    }
+  }
+  for (const char* v : {"inf", "nan", "1e309"}) {
+    expect_line_error(std::string("[[inject]]\nmagnitude = ") + v + "\n", 2);
+    expect_line_error(std::string("[[inject]]\nthreshold = ") + v + "\n", 2);
+  }
+  for (const char* v : {"1e30", "4294967296", "4294967297", "-1", "1.5"}) {
+    for (const char* key : {"group", "member", "enclosure", "resource"}) {
+      expect_line_error(std::string("[[inject]]\n") + key + " = " + v + "\n",
+                        2);
+    }
+  }
+  expect_line_error("seed = 1e30\n", 1);
+  expect_line_error("seed = 18446744073709551616\n", 1);  // 2^64
+  expect_line_error("[[inject]]\nat_s = 5s\n", 2);        // trailing junk
+  expect_line_error("\n[[inject]]\nat_s = -1\n", 3);
+  expect_line_error("[[inject]]\n\npoll_s = 0\n", 3);
+  expect_line_error("[[inject]]\npoll_s = 1e-12\n", 2);  // rounds to 0 ns
+}
+
+TEST(FaultPlanParse, KeepsTodaysNumberSyntax) {
+  const FaultPlan plan = parse_fault_plan(
+      "seed = 1e3\nhorizon_s = 9e9\n[[inject]]\nat_s = +5\ngroup = 3.0\n"
+      "member = 4294967295\npoll_s = 0.25\nmagnitude = -2.5e-1\n");
+  EXPECT_EQ(plan.seed, 1000u);
+  EXPECT_EQ(plan.horizon_s, 9e9);
+  ASSERT_EQ(plan.injections.size(), 1u);
+  EXPECT_EQ(plan.injections[0].at, 5 * kSecond);
+  EXPECT_EQ(plan.injections[0].group, 3u);
+  EXPECT_EQ(plan.injections[0].member, 4294967295u);
+  EXPECT_EQ(plan.injections[0].poll, kSecond / 4);
+  EXPECT_EQ(plan.injections[0].magnitude, -0.25);
+}
+
 TEST(FaultPlanParse, KindAndTriggerNamesRoundTrip) {
   for (std::size_t i = 0; i < kFaultKindCount; ++i) {
     const auto kind = static_cast<FaultKind>(i);

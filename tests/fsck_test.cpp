@@ -255,6 +255,26 @@ TEST(FsckJournal, RepairAdvancesCommittedCursorOverBackfilledTail) {
   EXPECT_TRUE(tools::run_fsck(fs.target()).clean());
 }
 
+TEST(FsckReportJson, EscapesControlBytesInDetailAndRepair) {
+  tools::FsckReport report;
+  tools::Finding f;
+  f.detail = "path a\x01" "b\ttab";
+  f.repaired = true;
+  f.repair = "relinked\r\x1b";
+  report.findings.push_back(f);
+  const std::string json = tools::fsck_report_json(report);
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(),
+                           [](char c) {
+                             return static_cast<unsigned char>(c) < 0x20;
+                           }))
+      << json;
+  EXPECT_NE(json.find("\"detail\": \"path a\\u0001b\\ttab\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"repair\": \"relinked\\r\\u001b\""), std::string::npos)
+      << json;
+}
+
 }  // namespace
 
 // Crash-free resize churn moves bytes on a file's existing stripe objects

@@ -7,13 +7,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/text.hpp"
 #include "tools/lint/baseline.hpp"
 #include "tools/lint/fix.hpp"
 #include "tools/lint/global.hpp"
@@ -805,9 +804,7 @@ TEST(SpiderLint, FixSwapsL1ContainersButNotCustomHashers) {
   const LintReport after = lint_paths({path}, opts, errors);
   EXPECT_TRUE(after.clean()) << render_text(after, /*fix_hints=*/false);
 
-  std::ifstream in(path);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+  const std::string text = spider::read_file(path).value_or("");
   EXPECT_NE(text.find("std::map<int, double> rows_"), std::string::npos);
   EXPECT_NE(text.find("std::set<int> keys_"), std::string::npos);
   EXPECT_NE(text.find("#include <map>"), std::string::npos);
@@ -835,9 +832,7 @@ TEST(SpiderLint, FixRenamesL3DoublesToUnitAliases) {
   const LintReport after = lint_paths({path}, opts, errors);
   EXPECT_TRUE(after.clean()) << render_text(after, /*fix_hints=*/false);
 
-  std::ifstream in(path);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+  const std::string text = spider::read_file(path).value_or("");
   EXPECT_NE(text.find("spider::ByteVolume transfer_bytes"), std::string::npos);
   EXPECT_NE(text.find("spider::Seconds elapsed_seconds"), std::string::npos);
   EXPECT_NE(text.find("spider::Bandwidth peak_bw"), std::string::npos);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -147,6 +148,21 @@ TEST(ViolationsJson, RendersStableShape) {
   EXPECT_NE(json.find("\"oracle\": \"purge-age\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"at_s\": 2"), std::string::npos) << json;
   EXPECT_NE(json.find("\\\"young\\\""), std::string::npos) << json;
+}
+
+TEST(ViolationsJson, EscapesEveryControlByte) {
+  // Oracle details quote resource and file names; a raw control byte in one
+  // used to pass through and make the verdict line invalid JSON.
+  const std::vector<OracleViolation> violations{
+      {"purge-age", kSecond, "name a\x01" "b\r\x1b[0m\x1f end"}};
+  const std::string json = violations_json(violations);
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(),
+                           [](char c) {
+                             return static_cast<unsigned char>(c) < 0x20;
+                           }))
+      << json;
+  EXPECT_NE(json.find("a\\u0001b\\r\\u001b[0m\\u001f end"), std::string::npos)
+      << json;
 }
 
 }  // namespace
