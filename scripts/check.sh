@@ -6,7 +6,8 @@
 # installed — see docs/static-analysis.md) and proves spiderlint --jobs
 # emits bytes identical to the serial run; it is the cheapest stage, so it
 # goes first. Then the address and undefined sanitizer presets build and run
-# the full test suite, and finally the deterministic-replay test runs twice
+# the full test suite, the thread preset runs the engine and pool tests
+# under TSan, and finally the deterministic-replay test runs twice
 # in fresh processes and the replay hashes are diffed — proving the
 # simulation core is reproducible across process boundaries, not just
 # within one. A fault-campaign smoke stage then replays the plans/ smoke
@@ -85,6 +86,21 @@ for BENCH in bench_s1_center_day bench_c16_interference; do
 done
 
 run_preset undefined
+
+# ThreadSanitizer over the lock-free code: the sharded engine's lane crew
+# hands epochs over with atomics only (generation bump, shard claims, a
+# finished-shard count, std::atomic::wait/notify), and parallel_for's
+# caller may leave a batch before late helpers start. The engine, pool,
+# scale-scenario and churn tests drive both at auto lanes; TSan must see
+# every handoff as ordered.
+echo "=== [thread] configure + build ==="
+cmake -B "${BUILD_ROOT}/thread" -S . -DSPIDER_SANITIZE=thread \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build "${BUILD_ROOT}/thread" -j "${JOBS}"
+echo "=== [thread] ctest (engine, pool, scale, churn) ==="
+ctest --test-dir "${BUILD_ROOT}/thread" -L sanitized \
+      -R '^(ShardedSim|ScaleScenario|Parallel|Churn)\.' \
+      --output-on-failure -j "${JOBS}"
 
 # Cross-process replay determinism: the replay test prints a
 # "replay-hash: ..." line; two fresh processes must print the same value.
@@ -261,7 +277,8 @@ fi
 echo "=== bench smoke (engine throughput vs baseline) ==="
 scripts/bench.sh --smoke "${BUILD_ROOT}/bench"
 
-echo "OK: sanitized suites passed, replay hashes and fault verdicts stable," \
+echo "OK: sanitized suites passed (engine and pool TSan-clean)," \
+     "replay hashes and fault verdicts stable," \
      "parallel and sharded campaigns deterministic, fsck repairs converged," \
      "changelog churn oracle-clean at 1e9 logical files," \
      "bench smoke within baseline"

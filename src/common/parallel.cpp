@@ -89,8 +89,9 @@ void ThreadPool::worker_loop(std::size_t index) {
       cv_task_.wait(lock, [this, index] {
         return stop_ || !pinned_[index].empty() || !tasks_.empty();
       });
-      // The pinned queue drains first: affinity work (one shard, every
-      // epoch) should not queue behind unrelated shared-pool batches.
+      // The pinned queue drains first: affinity work (a sharded-engine
+      // lane, every run) should not queue behind unrelated shared-pool
+      // batches.
       if (!pinned_[index].empty()) {
         task = std::move(pinned_[index].front());
         pinned_[index].pop();
@@ -138,9 +139,9 @@ ThreadPool& shared_pool() {
 namespace {
 
 /// Shared state of one parallel_for batch. Helpers submitted to the shared
-/// pool hold the state via shared_ptr so a helper scheduled late (after the
+/// pool hold the state via shared_ptr, so a helper scheduled late (after the
 /// caller already finished the index space and returned) still has valid
-/// state to decrement.
+/// state to look at.
 struct BatchState {
   const std::function<void(std::size_t)>* fn = nullptr;  // caller-owned
   std::size_t n = 0;
@@ -148,12 +149,18 @@ struct BatchState {
   std::atomic<bool> failed{false};
   std::mutex mu;
   std::condition_variable done;
-  std::size_t helpers_left SPIDER_GUARDED_BY(mu) = 0;
+  /// Helpers that joined the batch and have not left it yet.
+  std::size_t active SPIDER_GUARDED_BY(mu) = 0;
+  /// Set by the caller once it has drained the index space. A helper that
+  /// starts after this returns without touching `fn`, so the caller never
+  /// waits for helpers that never started — every pool worker may be busy
+  /// (say, held by a sharded-engine lane crew whose lane 0 called us).
+  bool closed SPIDER_GUARDED_BY(mu) = false;
   std::exception_ptr first_error SPIDER_GUARDED_BY(mu);
 
   /// Claim-and-run indices until the space is exhausted or a failure stops
-  /// the batch. `fn` stays valid for every helper: the caller blocks until
-  /// helpers_left reaches zero before returning.
+  /// the batch. `fn` stays valid for every helper that joined before the
+  /// batch closed: the caller blocks until `active` reaches zero.
   void run_range() {
     for (;;) {
       if (failed.load(std::memory_order_relaxed)) return;
@@ -170,6 +177,18 @@ struct BatchState {
         return;
       }
     }
+  }
+
+  /// A pool helper's whole task: join unless closed, run, leave.
+  void help() {
+    {
+      std::lock_guard lock(mu);
+      if (closed) return;
+      ++active;
+    }
+    run_range();
+    std::lock_guard lock(mu);
+    if (--active == 0) done.notify_all();
   }
 };
 
@@ -195,16 +214,8 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
   auto state = std::make_shared<BatchState>();
   state->fn = &fn;
   state->n = n;
-  {
-    std::lock_guard lock(state->mu);
-    state->helpers_left = helpers;
-  }
   for (std::size_t h = 0; h < helpers; ++h) {
-    pool.submit([state] {
-      state->run_range();
-      std::lock_guard lock(state->mu);
-      if (--state->helpers_left == 0) state->done.notify_all();
-    });
+    pool.submit([state] { state->help(); });
   }
 
   state->run_range();
@@ -212,7 +223,8 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
   std::exception_ptr err;
   {
     std::unique_lock lock(state->mu);
-    state->done.wait(lock, [&] { return state->helpers_left == 0; });
+    state->closed = true;
+    state->done.wait(lock, [&] { return state->active == 0; });
     err = std::exchange(state->first_error, nullptr);
   }
   if (err) std::rethrow_exception(err);

@@ -42,8 +42,8 @@ class ThreadPool {
   void submit(std::function<void()> task);
   /// Enqueue onto one specific worker's pinned queue (FIFO per worker,
   /// drained ahead of the shared queue). Pinning gives repeat submitters —
-  /// like the sharded simulator running the same shard every epoch — cache
-  /// affinity: shard state stays warm on one OS thread across barriers.
+  /// like the sharded simulator pinning its lane crew on every run() — cache
+  /// affinity: shard state stays warm on one OS thread across runs.
   /// Pinned tasks count toward wait_idle() like shared ones. Throws
   /// std::out_of_range when `worker` >= size().
   void submit_to(std::size_t worker, std::function<void()> task);
@@ -98,7 +98,11 @@ ThreadPool& shared_pool();
 /// `threads` == 0 means "auto": one lane per shared-pool worker plus the
 /// caller — the whole machine, no oversubscription. The effective fan-out
 /// never exceeds shared_pool().size() + 1 regardless of `threads`. Blocks
-/// until all iterations complete. With threads == 1 (or n == 1), or when
+/// until all iterations complete, but never for a helper that has not
+/// started: the caller drains the index space itself if it must, then waits
+/// only for helpers that joined, so the call returns even while every pool
+/// worker is busy (e.g. held by a sharded-engine lane crew whose lane-0
+/// event called it). With threads == 1 (or n == 1), or when
 /// called from a shared-pool worker thread (nested parallelism), runs
 /// inline — which keeps single-threaded determinism trivially available.
 /// If any iteration throws, remaining un-started iterations are skipped and

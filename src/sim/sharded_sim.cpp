@@ -1,9 +1,9 @@
 #include "sim/sharded_sim.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
 #include <exception>
-#include <mutex>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -16,6 +16,161 @@ namespace spider::sim {
 namespace {
 
 constexpr SimTime kInfiniteHorizon = std::numeric_limits<SimTime>::max();
+
+// How many times a crew lane re-checks a barrier word, with a pause between
+// checks, before it parks in std::atomic::wait. A pause costs ~10-140 cycles
+// depending on the core (~22 ns on a Sapphire Rapids Xeon), so the budget
+// spans ~15-200 us (~90 us there): longer than lane 0's between-epoch drain
+// and next-event scan and than a typical churn-workload epoch (a few us
+// each), so a busy run hands epochs over without a syscall; far shorter
+// than a scheduler quantum, so a lane left waiting on a descheduled peer
+// (an oversubscribed host) sleeps instead of burning a core.
+constexpr int kSpinBeforePark = 4096;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Spin-then-park until `word` differs from `seen`; returns the new value.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& word,
+                           std::uint32_t seen) {
+  for (int i = 0; i < kSpinBeforePark; ++i) {
+    const std::uint32_t now = word.load(std::memory_order_acquire);
+    if (now != seen) return now;
+    cpu_relax();
+  }
+  word.wait(seen, std::memory_order_acquire);
+  return word.load(std::memory_order_acquire);
+}
+
+/// The lane crew of one parallel run(). Helper lanes 1..lanes-1 are held on
+/// their pinned pool workers from the first epoch to the last; lane 0 is
+/// the caller. An epoch opens with one release-bump of `epoch` after lane 0
+/// has written `horizon` (the first barrier). Every lane then claims shards
+/// for that epoch, its home shards (s % lanes == lane) first, and runs each
+/// claimed shard up to the horizon; `done` counts finished shards and its
+/// last increment wakes lane 0 (the second barrier, which closes the epoch).
+///
+/// Shards are claimed, not dealt: a claim is a CAS of the shard's epoch
+/// stamp from the previous epoch to the open one, so each shard runs once
+/// per epoch, whichever lane gets it, and the merged stream is unchanged. A
+/// helper that has not started, or whose core the host has taken away,
+/// holds no epoch up: the running lanes take its shards. Equally, lane 0
+/// never waits for a helper to leave: helpers exit on `stop`, and only a
+/// lane that won a claim (so the epoch is still open) touches the engine.
+/// Helpers hold the crew by shared_ptr, so a late one never reads freed
+/// memory.
+struct LaneCrew {
+  /// One shard's claim stamp and results, on its own cache line.
+  struct alignas(64) Slot {
+    std::atomic<std::uint32_t> claimed{0};  // last epoch that claimed it
+    // Written by the lane that claimed the shard, read by lane 0 after the
+    // epoch closes (the claimer's increment of `done` releases them).
+    std::uint64_t ran = 0;
+    std::exception_ptr error;
+  };
+
+  LaneCrew(std::size_t shards, std::size_t lane_count)
+      : lanes(lane_count), slots(shards) {}
+
+  /// Lane 0: publish epoch `horizon`; returns the new epoch number.
+  std::uint32_t open(SimTime h) {
+    horizon = h;
+    done.store(0, std::memory_order_relaxed);
+    const std::uint32_t e = epoch.fetch_add(1, std::memory_order_release) + 1;
+    epoch.notify_all();
+    return e;
+  }
+  /// Lane 0: wait until every shard of the open epoch has run.
+  void await_done() const {
+    const auto all = static_cast<std::uint32_t>(slots.size());
+    std::uint32_t n = done.load(std::memory_order_acquire);
+    while (n != all) n = await_change(done, n);
+  }
+  /// Lane 0: release the helpers for good. No wait: a helper still on its
+  /// way out can no longer win a claim.
+  void dismiss() {
+    stop.store(true, std::memory_order_relaxed);
+    epoch.fetch_add(1, std::memory_order_release);
+    epoch.notify_all();
+  }
+  /// Any lane: run every shard of epoch `e` it can still claim.
+  template <class RunShard>
+  void work(std::size_t lane, std::uint32_t e, RunShard& run_shard) {
+    for (std::size_t i = lane; i < slots.size(); i += lanes) {
+      try_run(i, e, run_shard);
+    }
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (i % lanes != lane) try_run(i, e, run_shard);
+    }
+  }
+  /// Helper lane `lane`: claim shards of each new epoch until dismissed.
+  template <class RunShard>
+  void serve(std::size_t lane, RunShard run_shard) {
+    std::uint32_t seen = 0;
+    for (;;) {
+      seen = await_change(epoch, seen);
+      if (stop.load(std::memory_order_relaxed)) return;
+      work(lane, seen, run_shard);
+    }
+  }
+  /// Lane 0, after an epoch closed: the lowest shard's error, if any shard
+  /// threw. Moves every error out, so a helper that outlives run() never
+  /// holds the last reference to an exception the caller is handling.
+  std::exception_ptr take_error() {
+    if (!failed.load(std::memory_order_relaxed)) return nullptr;
+    std::exception_ptr first;
+    for (Slot& slot : slots) {
+      std::exception_ptr e = std::exchange(slot.error, nullptr);
+      if (!first) first = std::move(e);
+    }
+    return first;
+  }
+  std::uint64_t ran() const {
+    std::uint64_t total = 0;
+    for (const Slot& slot : slots) total += slot.ran;
+    return total;
+  }
+
+  const std::size_t lanes;
+  std::vector<Slot> slots;
+  // Written by lane 0 before it bumps `epoch`; read only by a lane that
+  // has won a claim in that epoch, which lane 0 waits for before it writes
+  // the next one.
+  SimTime horizon = 0;
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  // Separate cache lines: helpers spin on `epoch`, lane 0 on `done`.
+  alignas(64) std::atomic<std::uint32_t> epoch{0};
+  alignas(64) std::atomic<std::uint32_t> done{0};
+
+ private:
+  template <class RunShard>
+  void try_run(std::size_t i, std::uint32_t e, RunShard& run_shard) {
+    Slot& slot = slots[i];
+    std::uint32_t prev = e - 1;
+    // A relaxed load first skips shards already taken without dirtying
+    // their cache line.
+    if (slot.claimed.load(std::memory_order_relaxed) != prev ||
+        !slot.claimed.compare_exchange_strong(prev, e,
+                                              std::memory_order_acq_rel)) {
+      return;
+    }
+    try {
+      slot.ran += run_shard(i, horizon);
+    } catch (...) {
+      slot.error = std::current_exception();
+      failed.store(true, std::memory_order_relaxed);
+    }
+    if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == slots.size()) {
+      done.notify_one();
+    }
+  }
+};
 
 }  // namespace
 
@@ -139,86 +294,71 @@ void ShardedSimulator::drain_mailboxes() {
   }
 }
 
-std::uint64_t ShardedSimulator::run_epoch(SimTime h) {
-  const std::size_t s = shards_.size();
+std::optional<SimTime> ShardedSimulator::next_epoch(SimTime until) {
+  // Land messages queued before this round (setup code or the previous
+  // epoch) so they count toward the next-event scan.
+  drain_mailboxes();
+  SimTime next = kInfiniteHorizon;
+  for (const auto& sh : shards_) next = std::min(next, sh->next_event_time());
+  if (next == kInfiniteHorizon || next > until) return std::nullopt;
+  // Conservative epoch [next, next + lookahead): every event inside is
+  // causally closed — a cross message sent from within cannot be due
+  // before the window ends. Starting at `next` skips dead time.
+  const SimTime epoch_end =
+      next > kInfiniteHorizon - cfg_.lookahead ? kInfiniteHorizon
+                                               : next + cfg_.lookahead;
+  const SimTime horizon = std::min(epoch_end - 1, until);
+  epoch_end_ = horizon + 1;
+  return horizon;
+}
+
+std::uint64_t ShardedSimulator::run_crew(SimTime until, std::size_t lanes) {
   ThreadPool& pool = shared_pool();
-  std::size_t lanes = cfg_.workers == 0 ? pool.size() + 1 : cfg_.workers;
-  lanes = std::min({lanes, s, pool.size() + 1});
-  // Serial path: explicit request, nothing to parallelize, or a nested call
-  // from a pool worker (blocking on pinned lanes from inside the pool could
-  // starve — run inline, which is deterministic anyway).
-  if (lanes <= 1 || pool.on_worker_thread()) {
-    std::uint64_t ran = 0;
-    for (const auto& sh : shards_) ran += sh->run(h);
-    return ran;
-  }
-
-  std::vector<std::uint64_t> lane_ran(lanes, 0);
-  auto run_lane = [&](std::size_t lane) {
-    std::uint64_t ran = 0;
-    for (std::size_t i = lane; i < s; i += lanes) ran += shards_[i]->run(h);
-    lane_ran[lane] = ran;
+  auto crew = std::make_shared<LaneCrew>(shards_.size(), lanes);
+  auto run_shard = [this](std::size_t i, SimTime h) {
+    return shards_[i]->run(h);
   };
-
-  // Per-epoch barrier over just these lanes. wait_idle() would also wait on
-  // unrelated shared-pool work; a private latch does not.
-  std::mutex mu;
-  std::condition_variable done;
-  std::size_t left = lanes - 1;
-  std::exception_ptr first_error;
   for (std::size_t lane = 1; lane < lanes; ++lane) {
-    // Pin lane -> worker so the same shards hit the same OS thread (and its
-    // warm cache) on every epoch of the run.
-    pool.submit_to((lane - 1) % pool.size(), [&, lane] {
-      std::exception_ptr err;
-      try {
-        run_lane(lane);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard lock(mu);
-      if (err && !first_error) first_error = err;
-      if (--left == 0) done.notify_all();
+    // Pin lane -> worker so a lane's home shards hit the same OS thread (and
+    // its warm cache) on every epoch, and on every run() of the engine.
+    pool.submit_to(lane - 1, [crew, lane, run_shard] {
+      crew->serve(lane, run_shard);
     });
   }
-
-  std::exception_ptr caller_error;
+  std::exception_ptr err;
   try {
-    run_lane(0);
+    while (const std::optional<SimTime> h = next_epoch(until)) {
+      crew->work(0, crew->open(*h), run_shard);
+      crew->await_done();
+      err = crew->take_error();
+      if (err) break;
+      ++epochs_;
+    }
   } catch (...) {
-    caller_error = std::current_exception();
+    // Only the between-epoch step can land here, with no epoch open.
+    err = std::current_exception();
   }
-  {
-    std::unique_lock lock(mu);
-    done.wait(lock, [&] { return left == 0; });
-    if (!caller_error && first_error) caller_error = first_error;
-  }
-  if (caller_error) std::rethrow_exception(caller_error);
-
-  std::uint64_t ran = 0;
-  for (const std::uint64_t r : lane_ran) ran += r;
-  return ran;
+  crew->dismiss();
+  if (err) std::rethrow_exception(err);
+  return crew->ran();
 }
 
 std::uint64_t ShardedSimulator::run(SimTime until) {
+  ThreadPool& pool = shared_pool();
+  std::size_t lanes = cfg_.workers == 0 ? pool.size() + 1 : cfg_.workers;
+  lanes = std::min({lanes, shards_.size(), pool.size() + 1});
   std::uint64_t ran = 0;
-  for (;;) {
-    // Land messages queued before this round (setup code or the previous
-    // epoch) so they count toward the next-event scan.
-    drain_mailboxes();
-    SimTime next = kInfiniteHorizon;
-    for (const auto& sh : shards_) next = std::min(next, sh->next_event_time());
-    if (next == kInfiniteHorizon || next > until) break;
-    // Conservative epoch [next, next + lookahead): every event inside is
-    // causally closed — a cross message sent from within cannot be due
-    // before the window ends. Starting at `next` skips dead time.
-    const SimTime epoch_end =
-        next > kInfiniteHorizon - cfg_.lookahead ? kInfiniteHorizon
-                                                 : next + cfg_.lookahead;
-    const SimTime horizon = std::min(epoch_end - 1, until);
-    epoch_end_ = horizon + 1;
-    ran += run_epoch(horizon);
-    ++epochs_;
+  // Serial path: explicit request, nothing to parallelize, or a nested call
+  // from a pool worker (blocking on pinned lanes from inside the pool could
+  // starve — run inline, which is deterministic anyway). It is the crew's
+  // epoch loop with the caller running every shard.
+  if (lanes <= 1 || pool.on_worker_thread()) {
+    while (const std::optional<SimTime> h = next_epoch(until)) {
+      for (const auto& sh : shards_) ran += sh->run(*h);
+      ++epochs_;
+    }
+  } else {
+    ran = run_crew(until, lanes);
   }
   // Uniform horizon semantics, mirroring Simulator::run: a finite `until`
   // lands every shard clock exactly on it, idle shards included.

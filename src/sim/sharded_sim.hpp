@@ -31,10 +31,17 @@
 //     *assignment* moves events between queues and legitimately changes
 //     the stream (pinned by the metamorphic tests).
 //
-// Worker mapping: shard s runs on lane s % lanes; lane 0 is the calling
-// thread and each helper lane is pinned to one shared_pool() worker
-// (ThreadPool::submit_to), so a shard's state stays cache-warm on the same
-// OS thread across every epoch of a run.
+// Worker mapping: a parallel run() holds one lane crew for the whole call.
+// Lane 0 is the calling thread; each helper lane is one task pinned to a
+// shared_pool() worker (ThreadPool::submit_to). An epoch opens with a
+// release-bump of the crew's generation (the first barrier); every lane
+// then claims shards for it, home shards (s % lanes == lane) first, so a
+// shard's state stays cache-warm on one OS thread, and an atomic count of
+// finished shards closes it (the second barrier). Waits spin a bounded
+// number of pauses, then park in std::atomic::wait. Claiming means no
+// epoch waits for a lane that is not running (not yet started, or
+// descheduled by the host). Workers return to the pool when run() ends, and
+// an event on lane 0 may call parallel_for (see docs/parallel-engine.md).
 #pragma once
 
 #include <atomic>
@@ -42,6 +49,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <source_location>
 #include <string>
 #include <string_view>
@@ -128,8 +136,8 @@ class ShardedSimulator {
   /// or `until` is passed. Horizon semantics match Simulator::run: events
   /// with time <= `until` execute, and with a finite `until` every shard
   /// clock lands exactly on it. Returns the number of events executed
-  /// across all shards. Rethrows the first exception any shard raised
-  /// (after the epoch's lanes quiesce).
+  /// across all shards. Rethrows the exception of the lowest shard that
+  /// raised one, once that epoch has closed (every shard in it finished).
   std::uint64_t run(SimTime until = std::numeric_limits<SimTime>::max());
 
   /// First time at which a cross-shard message may currently land — the end
@@ -154,14 +162,19 @@ class ShardedSimulator {
   /// Transfer buffered mailbox messages into target queues, canonically
   /// ordered. Single-threaded: only called between epochs.
   void drain_mailboxes();
-  /// Execute every shard up to the inclusive horizon `h`, in parallel when
-  /// configured. Returns events executed; rethrows the first lane error.
-  std::uint64_t run_epoch(SimTime h);
+  /// Lane 0's step between epochs: drain the mailboxes, find the earliest
+  /// pending event, and open the epoch starting there (sets epoch_end_).
+  /// Returns the epoch's inclusive horizon, or nullopt when nothing is left
+  /// at or before `until`. Single-threaded.
+  std::optional<SimTime> next_epoch(SimTime until);
+  /// The epoch loop with helper lanes 1..lanes-1 held for the whole call.
+  /// Rethrows the lowest shard's error once its epoch has closed.
+  std::uint64_t run_crew(SimTime until, std::size_t lanes);
 
   // unique_ptr: shard addresses must be stable — lanes hold references
   // while the vector's buffer would otherwise move on growth. Each element
-  // is owned by its shard's lane during an epoch; only the single-threaded
-  // barrier code may reach across (spiderlint L9 enforces the closure side
+  // is owned during an epoch by the lane that claimed its shard; only the
+  // single-threaded barrier code may reach across (spiderlint L9 enforces the closure side
   // of this contract).
   std::vector<std::unique_ptr<Simulator>> shards_ SPIDER_SHARD_OWNED(shard);
   /// Cross-shard mailbox (from * S + to): appended by the sending shard's

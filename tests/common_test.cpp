@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -563,6 +565,37 @@ TEST(Parallel, SubmitToValidatesWorkerIndexAndPropagatesErrors) {
   pool.submit_to(0, [&ran] { ++ran; });
   EXPECT_NO_THROW(pool.wait_idle());
   EXPECT_EQ(ran.load(), 3);
+}
+
+TEST(Parallel, ParallelForReturnsWhileEveryWorkerIsBusy) {
+  // The caller never waits for helpers that did not start: with every
+  // shared-pool worker blocked on a latch released only after parallel_for
+  // returns, the caller must drain the whole index space itself and return.
+  // The batch runs on its own thread, bounded by a timeout, so a caller
+  // stuck on absent helpers fails the test instead of hanging it.
+  ThreadPool& pool = shared_pool();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<std::size_t> blocked{0};
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    pool.submit_to(w, [released, &blocked] {
+      ++blocked;
+      released.wait();
+    });
+  }
+  while (blocked.load() < pool.size()) std::this_thread::yield();
+
+  std::vector<std::atomic<int>> hits(64);
+  auto batch = std::async(std::launch::async, [&hits] {
+    parallel_for(hits.size(), [&hits](std::size_t i) { hits[i]++; }, 0);
+  });
+  const bool returned =
+      batch.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();
+  batch.wait();
+  pool.wait_idle();  // the late helpers find the batch closed and leave
+  EXPECT_TRUE(returned) << "parallel_for waited for helpers that never ran";
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // --- stats property tests ---------------------------------------------------

@@ -8,12 +8,19 @@
 // shard count does not.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "sim/replay.hpp"
 #include "sim/sharded_sim.hpp"
 #include "sim/simulator.hpp"
@@ -275,6 +282,98 @@ TEST(ShardedSim, EpochsSkipDeadTime) {
   engine.run(2 * sim::kSecond);
   EXPECT_LE(engine.epochs(), 4u);
   EXPECT_EQ(engine.executed_events(), 2u);
+}
+
+/// Run `body` on its own thread and wait at most `limit` for it. A body
+/// still running then is deadlocked: it can never be joined (and the
+/// future's destructor would join it), so the process names the test and
+/// exits non-zero instead of hanging the suite.
+template <class Fn>
+void run_bounded(std::chrono::seconds limit, Fn body) {
+  auto done = std::async(std::launch::async, std::move(body));
+  if (done.wait_for(limit) != std::future_status::ready) {
+    const auto* test = testing::UnitTest::GetInstance()->current_test_info();
+    std::fprintf(stderr, "%s.%s: deadlocked, still running after %llds\n",
+                 test->test_suite_name(), test->name(),
+                 static_cast<long long>(limit.count()));
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  done.get();  // surface any assertion-side exception
+}
+
+TEST(ShardedSim, ShardEventMayCallParallelForAtAutoLanes) {
+  // The lane crew holds every helper lane's pool worker for the whole
+  // run(), so a parallel_for from a lane-0 event finds no free worker. It
+  // must still return (the caller drains the batch itself) instead of
+  // waiting on helpers that cannot start. Events on helper lanes run their
+  // parallel_for inline, as any nested call from a pool worker does.
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kRounds = 3;
+  std::vector<std::atomic<int>> hits(kShards * kRounds * 8);
+  ShardedSimulator engine(kShards, ShardedConfig{kLookahead, 0});
+  for (ShardId s = 0; s < kShards; ++s) {
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      const SimTime at = static_cast<SimTime>(r + 1) * 3 * kLookahead;
+      engine.shard(s).schedule_at(at, [&hits, s, r] {
+        const std::size_t base = (s * kRounds + r) * 8;
+        parallel_for(8, [&hits, base](std::size_t i) { hits[base + i]++; }, 0);
+      });
+    }
+  }
+  std::uint64_t ran = 0;
+  run_bounded(std::chrono::seconds(10),
+              [&] { ran = engine.run(sim::kMillisecond); });
+  EXPECT_EQ(ran, kShards * kRounds);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ShardedSim, HelperLaneExceptionIsRethrownAndPoolStaysUsable) {
+  // At auto lanes shard 1 is a helper lane's home shard, so it normally
+  // throws on a pinned pool worker, not the caller. The exception must come
+  // out of run() only once its epoch closed (shard 3's slow event in the
+  // same epoch has finished), and the workers must be back in the pool:
+  // wait_idle, parallel_for and a fresh engine all complete afterwards.
+  constexpr std::size_t kShards = 4;
+  ASSERT_GE(shared_pool().size() + 1, 2u);
+  std::atomic<bool> slow_done{false};
+  ShardedSimulator engine(kShards, ShardedConfig{kLookahead, 0});
+  engine.shard(1).schedule_at(kMicrosecond, [] {
+    throw std::runtime_error("shard 1 failed");
+  });
+  engine.shard(3).schedule_at(kMicrosecond, [&slow_done] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    slow_done = true;
+  });
+  engine.shard(0).schedule_at(sim::kMillisecond / 2, [] {});
+  std::string error;
+  run_bounded(std::chrono::seconds(10), [&] {
+    try {
+      engine.run(sim::kMillisecond);
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+  });
+  EXPECT_EQ(error, "shard 1 failed");
+  EXPECT_TRUE(slow_done.load());
+
+  // A crew lane that kept its worker would hang wait_idle().
+  run_bounded(std::chrono::seconds(10), [] { shared_pool().wait_idle(); });
+  std::vector<std::atomic<int>> hits(64);
+  run_bounded(std::chrono::seconds(10), [&hits] {
+    parallel_for(hits.size(), [&hits](std::size_t i) { hits[i]++; }, 0);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  ShardedSimulator fresh(kShards, ShardedConfig{kLookahead, 0});
+  for (ShardId s = 0; s < kShards; ++s) {
+    fresh.shard(s).schedule_at(kMicrosecond, [] {});
+    fresh.shard(s).schedule_at(5 * kLookahead, [] {});
+  }
+  std::uint64_t ran = 0;
+  run_bounded(std::chrono::seconds(10),
+              [&] { ran = fresh.run(sim::kMillisecond); });
+  EXPECT_EQ(ran, 2 * kShards);
 }
 
 }  // namespace
