@@ -18,7 +18,8 @@
 // counter by zero.
 //
 // Modes (mirrors bench_fsck):
-//   --spider-json=PATH   write the machine-readable report (BENCH_changelog.json)
+//   --spider-json=PATH   write the machine-readable report (scripts/bench.sh
+//                        passes BENCH_changelog.json); without it none is written
 //   --baseline=FILE      gate scan/incremental throughput against a
 //                        checked-in report (ci/bench-baseline-changelog.json)
 //                        at a 0.60x noise floor
@@ -272,7 +273,7 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_changelog.json";
+  std::string json_path;  // no report unless --spider-json= names one
   std::string baseline_path;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {

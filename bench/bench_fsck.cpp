@@ -11,7 +11,8 @@
 // reported, not gated).
 //
 // Modes (mirrors bench_macro_scale):
-//   --spider-json=PATH   write the machine-readable report (BENCH_fsck.json)
+//   --spider-json=PATH   write the machine-readable report (scripts/bench.sh
+//                        passes BENCH_fsck.json); without it none is written
 //   --baseline=FILE      gate serial slots/sec against a checked-in report
 //                        (ci/bench-baseline-fsck.json) at a 0.60x noise floor
 //   --smoke              seconds-long run sized for CI
@@ -199,7 +200,7 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_fsck.json";
+  std::string json_path;  // no report unless --spider-json= names one
   std::string baseline_path;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {

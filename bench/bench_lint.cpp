@@ -10,7 +10,8 @@
 // same analysis, not two different ones.
 //
 // Modes (mirrors bench_fsck):
-//   --spider-json=PATH   write the machine-readable report (BENCH_lint.json)
+//   --spider-json=PATH   write the machine-readable report (scripts/bench.sh
+//                        passes BENCH_lint.json); without it none is written
 //   --baseline=FILE      gate serial files/sec against a checked-in report
 //                        (ci/bench-baseline-lint.json) at a 0.60x noise floor
 //   --smoke              seconds-long run sized for CI
@@ -158,7 +159,7 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_lint.json";
+  std::string json_path;  // no report unless --spider-json= names one
   std::string baseline_path;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {

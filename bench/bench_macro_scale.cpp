@@ -10,7 +10,8 @@
 // simulations.
 //
 // Modes (mirrors bench_micro_engine):
-//   --spider-json=PATH   write the machine-readable report (BENCH_scale.json)
+//   --spider-json=PATH   write the machine-readable report (scripts/bench.sh
+//                        passes BENCH_scale.json); without it none is written
 //   --baseline=FILE      gate serial-schedule events/sec against a checked-in
 //                        report (ci/bench-baseline-scale.json) at a 0.60x
 //                        noise floor
@@ -222,7 +223,7 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_scale.json";
+  std::string json_path;  // no report unless --spider-json= names one
   std::string baseline_path;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {

@@ -388,11 +388,11 @@ void FaultCampaign::start_rebuild(std::size_t g, std::size_t m) {
   const double duration_s = group.rebuild_time_s();
   rebuilds_.on_start(g, sim_.now(), duration_s);
   sim_.schedule_in(sim::from_seconds(duration_s), [this, g, m] {
-    auto& group = ssu_.group(g);
+    auto& rebuilding = ssu_.group(g);
     // An enclosure restore (or data loss) may have changed the member's
     // state since the rebuild began; finish only a still-running rebuild.
-    if (group.member_state(m) == block::MemberState::kRebuilding) {
-      group.finish_rebuild(m);
+    if (rebuilding.member_state(m) == block::MemberState::kRebuilding) {
+      rebuilding.finish_rebuild(m);
       rebuilds_.on_finish(g);
     } else {
       rebuilds_.on_abort(g);

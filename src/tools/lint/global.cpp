@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "tools/lint/callgraph.hpp"
 
 namespace spider::lint {
 
@@ -20,18 +19,6 @@ bool call_shaped_keyword(std::string_view s) {
          s == "assert" || s == "noexcept" || s == "alignas" ||
          s == "throw" || s == "new" || s == "delete" || s == "co_await" ||
          s == "co_return" || s == "defined";
-}
-
-std::vector<std::string_view> split_components(std::string_view path) {
-  std::vector<std::string_view> parts;
-  std::size_t start = 0;
-  while (start <= path.size()) {
-    std::size_t slash = path.find('/', start);
-    if (slash == std::string_view::npos) slash = path.size();
-    if (slash > start) parts.push_back(path.substr(start, slash - start));
-    start = slash + 1;
-  }
-  return parts;
 }
 
 /// Called names inside the token range [begin, end): identifiers directly
@@ -202,35 +189,15 @@ std::size_t first_journal_append(const std::vector<Tok>& t, std::size_t begin,
 
 }  // namespace
 
-TuFacts classify_tu(std::string_view path) {
-  TuFacts facts;
-  const std::vector<std::string_view> parts = split_components(path);
-  std::size_t root = parts.size();
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (parts[i] == "src" || parts[i] == "tests" || parts[i] == "bench") {
-      root = i;
-    }
-  }
-  if (root >= parts.size()) return facts;
-  if (parts[root] == "tests") {
-    facts.in_tests = true;
-    facts.repair_context = true;
-    return facts;
-  }
-  if (parts[root] == "bench") {
-    facts.in_bench = true;
-    facts.repair_context = true;
-    return facts;
-  }
-  facts.in_src = true;
-  if (root + 1 < parts.size()) {
-    facts.fs_scope = parts[root + 1] == "fs";
-    if (parts[root + 1] == "tools" && root + 2 < parts.size() &&
-        (parts[root + 2] == "spiderfsck" || parts[root + 2] == "faultcli")) {
-      facts.repair_context = true;
-    }
-  }
-  return facts;
+GlobalTu index_tu(const SourceFile& file,
+                  const std::optional<FileClass>& forced_class) {
+  GlobalTu tu;
+  tu.file = &file;
+  tu.stream = tokenize(file);
+  tu.syms = index_symbols(tu.stream);
+  tu.facts = classify_path(file.path);
+  tu.cls = forced_class.value_or(tu.facts);
+  return tu;
 }
 
 GlobalIndex::GlobalIndex(const std::vector<SourceFile>& files,
@@ -243,18 +210,21 @@ GlobalIndex::GlobalIndex(const std::vector<SourceFile>& files,
       files.size(),
       [&](std::size_t i) {
         // spiderlint: pool-ok — slot-per-task writes, parallel_for joins
-        GlobalTu& tu = tus_[i];
-        tu.file = &files[i];
-        tu.stream = tokenize(files[i]);
-        tu.syms = index_symbols(tu.stream);
-        tu.cls = forced_class.has_value() ? *forced_class
-                                          : classify_path(files[i].path);
-        tu.facts = classify_tu(files[i].path);
+        tus_[i] = index_tu(files[i], forced_class);
       },
       jobs);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    by_path_.emplace(files[i].path, i);
+  }
   link();
   close_repair_reachability();
   close_taint_returns();
+}
+
+std::optional<std::size_t> GlobalIndex::find(std::string_view path) const {
+  const auto it = by_path_.find(path);
+  if (it == by_path_.end()) return std::nullopt;
+  return it->second;
 }
 
 void GlobalIndex::link() {
@@ -412,6 +382,173 @@ void GlobalIndex::close_taint_returns() {
       }
     }
   }
+}
+
+std::string reduce_index(const std::vector<Tok>& t, std::size_t begin,
+                         std::size_t end) {
+  if (begin >= end || end > t.size()) return {};
+  // shard_of(X) anywhere in the range: the domain index governs the shard.
+  for (std::size_t i = begin; i + 1 < end; ++i) {
+    if (is_ident(t[i], "shard_of") && is_punct(t[i + 1], "(")) {
+      const std::size_t close = matching_close(t, i + 1);
+      if (close < end) return reduce_index(t, i + 2, close);
+    }
+  }
+  // static_cast<T>(X): the cast does not change the governing identifier.
+  if (is_ident(t[begin], "static_cast") && begin + 1 < end &&
+      is_punct(t[begin + 1], "<")) {
+    const std::size_t angle = matching_close(t, begin + 1);
+    if (angle + 1 < end && is_punct(t[angle + 1], "(")) {
+      const std::size_t close = matching_close(t, angle + 1);
+      if (close < end) return reduce_index(t, angle + 2, close);
+    }
+  }
+  if (end - begin == 1 &&
+      (t[begin].kind == TokKind::kIdent || t[begin].kind == TokKind::kNumber)) {
+    return t[begin].text;
+  }
+  return {};
+}
+
+namespace {
+
+/// Parameter names of `fn`, in order: per parameter, the last depth-0
+/// identifier before a depth-0 `=` (default argument).
+std::vector<std::string> param_names(const std::vector<Tok>& t,
+                                     const FunctionSym& fn) {
+  std::vector<std::string> names;
+  if (fn.params_begin >= fn.params_end) return names;
+  for (const ArgRange& a : split_args(t, fn.params_begin - 1, fn.params_end)) {
+    std::string name;
+    int d = 0;
+    for (std::size_t i = a.begin; i < a.end; ++i) {
+      if (d == 0 && is_punct(t[i], "=")) break;
+      if (d == 0 && t[i].kind == TokKind::kIdent) name = t[i].text;
+      d += depth_delta(t[i]);
+    }
+    names.push_back(std::move(name));
+  }
+  return names;
+}
+
+/// True when a `return` statement in fn's body calls one of `handles`.
+bool returns_handle(const std::vector<Tok>& t, const FunctionSym& fn,
+                    const std::set<std::string>& handles) {
+  for (std::size_t i = fn.body_begin; i < fn.body_end && i < t.size(); ++i) {
+    if (!is_ident(t[i], "return")) continue;
+    for (std::size_t j = i + 1; j < fn.body_end && j < t.size(); ++j) {
+      if (is_punct(t[j], ";")) break;
+      if (t[j].kind == TokKind::kIdent && handles.count(t[j].text) != 0 &&
+          j + 1 < t.size() && is_punct(t[j + 1], "(")) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+TuCallFacts GlobalIndex::call_facts(
+    std::size_t tu, const std::set<std::string>& shard_owned) const {
+  const std::vector<Tok>& t = tus_[tu].stream.tokens;
+  const std::vector<FunctionSym>& fns = tus_[tu].syms.functions;
+  TuCallFacts facts;
+  facts.params.resize(fns.size());
+  for (std::size_t f = 0; f < fns.size(); ++f) {
+    if (fns[f].is_definition) facts.params[f] = param_names(t, fns[f]);
+  }
+  // Every fixpoint below is monotone, so visiting the definitions in
+  // function-table order reaches the same least fixpoint as any order.
+
+  // --- shard-handle returners (wrappers of wrappers resolve) ---------------
+  facts.handles.insert("shard");
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const FunctionSym& fn : fns) {
+      if (!fn.is_definition || facts.handles.count(fn.name) != 0) continue;
+      if (returns_handle(t, fn, facts.handles)) {
+        facts.handles.insert(fn.name);
+        changed = true;
+      }
+    }
+  }
+
+  // --- parameters flowing into shard-handle schedule indices ---------------
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t f = 0; f < fns.size(); ++f) {
+      const FunctionSym& fn = fns[f];
+      const std::vector<std::string>& names = facts.params[f];
+      if (!fn.is_definition || names.empty()) continue;
+      // Marks every parameter named by the index expression [b, e).
+      const auto note = [&](std::size_t b, std::size_t e) {
+        const std::string r = reduce_index(t, b, e);
+        if (r.empty()) return;
+        for (std::size_t p = 0; p < names.size(); ++p) {
+          if (names[p] != r) continue;
+          std::vector<std::size_t>& list = facts.sched_params[fn.name];
+          if (std::find(list.begin(), list.end(), p) != list.end()) continue;
+          list.insert(std::upper_bound(list.begin(), list.end(), p), p);
+          changed = true;
+        }
+      };
+      for (std::size_t i = fn.body_begin;
+           i + 1 < fn.body_end && i + 1 < t.size(); ++i) {
+        if (t[i].kind != TokKind::kIdent || !is_punct(t[i + 1], "(")) {
+          continue;
+        }
+        const std::size_t close = matching_close(t, i + 1);
+        if (close >= t.size()) continue;
+        // Direct: handle(IDX).schedule_at/..._in(...).
+        if (facts.handles.count(t[i].text) != 0 && close + 2 < t.size() &&
+            is_punct(t[close + 1], ".") &&
+            (is_ident(t[close + 2], "schedule_at") ||
+             is_ident(t[close + 2], "schedule_in"))) {
+          note(i + 2, close);
+        }
+        // Indirect: a parameter forwarded into a callee's sched-param slot.
+        const auto callee = facts.sched_params.find(t[i].text);
+        if (callee == facts.sched_params.end() || t[i].text == fn.name) {
+          continue;
+        }
+        const std::vector<ArgRange> args = split_args(t, i + 1, close);
+        for (const std::size_t j : callee->second) {
+          if (j < args.size()) note(args[j].begin, args[j].end);
+        }
+      }
+    }
+  }
+
+  // --- transitive shard-owned touch ----------------------------------------
+  if (shard_owned.empty()) return facts;
+  for (const FunctionSym& fn : fns) {
+    if (!fn.is_definition) continue;
+    for (std::size_t i = fn.body_begin; i < fn.body_end && i < t.size(); ++i) {
+      if (t[i].kind == TokKind::kIdent && shard_owned.count(t[i].text) != 0) {
+        facts.touched[fn.name].insert(t[i].text);
+      }
+    }
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const FunctionSym& fn : fns) {
+      if (!fn.is_definition) continue;
+      for (std::size_t i = fn.body_begin;
+           i + 1 < fn.body_end && i + 1 < t.size(); ++i) {
+        if (t[i].kind != TokKind::kIdent || !is_punct(t[i + 1], "(")) {
+          continue;
+        }
+        const auto callee = facts.touched.find(t[i].text);
+        if (callee == facts.touched.end() || t[i].text == fn.name) continue;
+        std::set<std::string>& mine = facts.touched[fn.name];
+        const std::size_t before = mine.size();
+        mine.insert(callee->second.begin(), callee->second.end());
+        if (mine.size() != before) changed = true;
+      }
+    }
+  }
+  return facts;
 }
 
 namespace {
@@ -774,18 +911,13 @@ void run_l16(const GlobalIndex& index, std::vector<Finding>& out) {
 
 }  // namespace
 
-std::vector<Finding> lint_global(const std::vector<SourceFile>& files,
-                                 const GlobalOptions& opts) {
+std::vector<Finding> lint_global(const GlobalIndex& index,
+                                 const RuleSet& rules) {
   std::vector<Finding> out;
-  if (!opts.rules.l13 && !opts.rules.l14 && !opts.rules.l15 &&
-      !opts.rules.l16) {
-    return out;
-  }
-  const GlobalIndex index(files, opts.forced_class, opts.jobs);
-  if (opts.rules.l13) run_l13(index, out);
-  if (opts.rules.l14) run_l14(index, out);
-  if (opts.rules.l15) run_l15(index, out);
-  if (opts.rules.l16) run_l16(index, out);
+  if (rules.l13) run_l13(index, out);
+  if (rules.l14) run_l14(index, out);
+  if (rules.l15) run_l15(index, out);
+  if (rules.l16) run_l16(index, out);
   return out;
 }
 

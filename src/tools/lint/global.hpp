@@ -1,8 +1,10 @@
-// spiderlint whole-program layer: a cross-TU symbol index, a linked global
-// call graph, and the censuses behind rules L13-L16.
+// spiderlint front end and whole-program layer: every input tokenized and
+// symbol-indexed once, a cross-TU symbol index, a linked global call graph,
+// and the censuses behind rules L13-L16.
 //
-// Per-file rules (rules.hpp) see one translation unit plus its paired
-// header; everything here sees the whole file set at once:
+// The index is the only front end: the per-file rules (rules.hpp) run on
+// its per-TU token streams and symbols, seeing one translation unit plus
+// its paired header; everything here sees the whole file set at once:
 //
 //   - a global symbol index resolving a function *name* to every
 //     declaration and definition of that name across TUs;
@@ -10,7 +12,9 @@
 //     interprocedurally (L13 repair reachability, L16 taint returns);
 //   - an enum census: every enumerator of the scoped FindingKind/FaultKind
 //     enums, matched against inject/repair switch cases, injector bindings,
-//     oracle registrations, and test mentions (L15).
+//     oracle registrations, and test mentions (L15);
+//   - the TU-scoped call facts behind L9/L10 (call_facts): resolution there
+//     stays inside the calling TU's own definitions.
 //
 // Linking limits (the misparse-degrades-to-missed-finding contract):
 // resolution is by unqualified name, not by signature. Overloads and
@@ -44,33 +48,49 @@
 
 namespace spider::lint {
 
-/// Path-derived facts about one translation unit. Unlike FileClass these
-/// are never overridden by --treat-as: L13's repair-context allowlist and
-/// L15's test-mention census key off where a file actually lives.
-struct TuFacts {
-  bool in_src = false;
-  bool in_tests = false;
-  bool in_bench = false;
-  /// Under src/fs/ (L14 journal-before-mutation scope).
-  bool fs_scope = false;
-  /// A context allowed to reach repair-only mutators: tools/spiderfsck/,
-  /// tools/faultcli/, tests/, or bench/ (measurement code corrupts trees
-  /// on purpose; see bench_fsck.cpp).
-  bool repair_context = false;
-};
-
-/// Classify a path the same way classify_path does (last src/tests/bench
-/// component wins), but into the path-only facts above.
-TuFacts classify_tu(std::string_view path);
-
 /// One translation unit inside the global index.
 struct GlobalTu {
   const SourceFile* file = nullptr;
   TokenStream stream;
   FileSymbols syms;
-  FileClass cls;  ///< forced or path-derived; selects which rules apply
-  TuFacts facts;  ///< always path-derived; selects allowed contexts
+  FileClass cls;    ///< forced or path-derived; selects which rules apply
+  FileClass facts;  ///< always path-derived; selects allowed contexts
 };
+
+/// Tokenize and symbol-index one scanned file. GlobalIndex builds every
+/// input this way; lint_paths also uses it for a paired header that is not
+/// an input, which then serves the per-file rules as context only.
+GlobalTu index_tu(const SourceFile& file,
+                  const std::optional<FileClass>& forced_class);
+
+/// L9/L10's call facts for one TU (GlobalIndex::call_facts). Calls resolve
+/// by unqualified name among the TU's own definitions — no overloads, no
+/// cross-TU linking, no receiver types — which is enough for the
+/// helper-wrapper patterns the engine uses (`zone_sim(z)` returning
+/// `engine_.shard(map_.shard_of(z))`, private helpers threading a domain
+/// index down to a schedule call). An unresolvable call degrades to a
+/// missed finding, never a spurious one.
+struct TuCallFacts {
+  /// Names whose call yields a shard handle: `shard` itself, or a wrapper
+  /// whose return statement calls a handle function (fixpoint).
+  std::set<std::string> handles;
+  /// Parameter indices of a function that flow, possibly through further
+  /// helpers, into the index argument of `handle(idx).schedule_at/_in`.
+  std::map<std::string, std::vector<std::size_t>> sched_params;
+  /// Shard-owned member names a function's body touches, transitively
+  /// through calls (fixpoint).
+  std::map<std::string, std::set<std::string>> touched;
+  /// Parameter names of each definition, by function-table index (empty
+  /// for declarations). A misparsed name only suppresses checks.
+  std::vector<std::vector<std::string>> params;
+};
+
+/// Reduce a shard-index expression to its governing identifier or numeric
+/// literal: `z` -> "z", `map_.shard_of(target)` -> "target",
+/// `static_cast<ShardId>(d)` -> "d", `0` -> "0". Empty for anything more
+/// complex — callers must then skip their check (missed, not false).
+std::string reduce_index(const std::vector<Tok>& t, std::size_t begin,
+                         std::size_t end);
 
 /// The cross-TU index. Construction tokenizes and symbol-indexes every
 /// file (optionally in parallel over the shared pool — results are stored
@@ -90,6 +110,8 @@ class GlobalIndex {
 
   std::size_t tu_count() const { return tus_.size(); }
   const GlobalTu& tu(std::size_t i) const { return tus_[i]; }
+  /// The TU scanned from `path`, when that path is an input.
+  std::optional<std::size_t> find(std::string_view path) const;
   const FunctionSym& fn(const Ref& r) const {
     return tus_[r.tu].syms.functions[r.fn];
   }
@@ -125,12 +147,18 @@ class GlobalIndex {
     return taint_returning_;
   }
 
+  /// L9/L10 facts for TU `tu` over its own definitions. `shard_owned` is
+  /// the SPIDER_SHARD_OWNED name set of the TU and its paired header.
+  TuCallFacts call_facts(std::size_t tu,
+                         const std::set<std::string>& shard_owned) const;
+
  private:
   void link();
   void close_repair_reachability();
   void close_taint_returns();
 
   std::vector<GlobalTu> tus_;
+  std::map<std::string, std::size_t, std::less<>> by_path_;
   std::map<std::string, std::vector<Ref>, std::less<>> definitions_;
   std::map<std::string, std::vector<Ref>, std::less<>> occurrences_;
   std::set<std::string, std::less<>> annotated_repair_only_;
@@ -140,17 +168,10 @@ class GlobalIndex {
   std::map<std::string, std::string, std::less<>> taint_returning_;
 };
 
-/// Options for the whole-program pass.
-struct GlobalOptions {
-  RuleSet rules;
-  std::optional<FileClass> forced_class;
-  std::size_t jobs = 1;  ///< 0 = one per hardware thread
-};
-
-/// Run the whole-program rules (L13-L16) over a set of scanned files.
-/// Findings come back unsorted; the driver merges and sorts them with the
+/// Run the enabled whole-program rules (L13-L16) over a built index.
+/// Findings come back unsorted; lint_paths merges and sorts them with the
 /// per-file findings.
-std::vector<Finding> lint_global(const std::vector<SourceFile>& files,
-                                 const GlobalOptions& opts);
+std::vector<Finding> lint_global(const GlobalIndex& index,
+                                 const RuleSet& rules);
 
 }  // namespace spider::lint

@@ -62,15 +62,6 @@ std::vector<std::string> collect_sources(const std::vector<std::string>& paths,
   return files;
 }
 
-std::vector<Finding> lint_scanned(const SourceFile& file,
-                                  const LintOptions& opts,
-                                  const SourceFile* paired_header) {
-  const FileClass cls = opts.forced_class.has_value()
-                            ? *opts.forced_class
-                            : classify_path(file.path);
-  return lint_file(file, cls, paired_header, opts.rules);
-}
-
 namespace {
 
 /// Baseline-style path matching for --only: exact, or a path suffix at a
@@ -95,8 +86,7 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   LintReport report;
   const Clock::time_point t0 = Clock::now();
   // Read + scan stays serial: IO error reporting keeps a deterministic
-  // order, and the scanner is a fraction of tokenize+rules cost. Scanned
-  // files are kept for the whole-program passes (L5 layering, L13-L16).
+  // order, and the scanner is a fraction of tokenize+rules cost.
   std::vector<SourceFile> scanned;
   for (const std::string& path : collect_sources(paths, errors)) {
     const std::optional<std::string> contents = read_file(path);
@@ -109,6 +99,10 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   }
   const Clock::time_point t1 = Clock::now();
 
+  // The one front end: every input tokenized and symbol-indexed once.
+  const GlobalIndex index(scanned, opts.forced_class, opts.jobs);
+  const Clock::time_point t2 = Clock::now();
+
   // Per-file pass, fanned out over the shared pool. Each slot is written
   // by exactly one task and merged in slot order — and collect_sources is
   // sorted — so the findings stream is byte-identical at any job count.
@@ -116,26 +110,32 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   spider::parallel_for(
       scanned.size(),
       [&](std::size_t i) {
-        const SourceFile& file = scanned[i];
         // Pair foo.cpp with a sibling foo.hpp (or .h/.hh) for L1
-        // identifier tracking and L6/L7 declaration lookup.
-        SourceFile header;
-        const SourceFile* paired = nullptr;
-        const fs::path p(file.path);
+        // identifier tracking, L6/L7 declaration lookup and the L9-L12
+        // annotations. A header that is not an input is read here, as
+        // context for this file's rules only.
+        SourceFile header_file;
+        GlobalTu context;
+        const GlobalTu* paired = nullptr;
+        const fs::path p(scanned[i].path);
         if (p.extension() == ".cpp" || p.extension() == ".cc") {
           for (const char* ext : {".hpp", ".h", ".hh"}) {
-            fs::path candidate = p;
-            candidate.replace_extension(ext);
-            const std::optional<std::string> header_text =
-                read_file(candidate.generic_string());
-            if (header_text.has_value()) {
-              header = scan_source(candidate.generic_string(), *header_text);
-              paired = &header;
+            const std::string candidate =
+                fs::path(p).replace_extension(ext).generic_string();
+            if (const std::optional<std::size_t> at = index.find(candidate)) {
+              paired = &index.tu(*at);
+              break;
+            }
+            const std::optional<std::string> text = read_file(candidate);
+            if (text.has_value()) {
+              header_file = scan_source(candidate, *text);
+              context = index_tu(header_file, opts.forced_class);
+              paired = &context;
               break;
             }
           }
         }
-        slots[i] = lint_scanned(file, opts, paired);
+        slots[i] = lint_file(index, i, paired, opts.rules);
       },
       opts.jobs);
   for (std::vector<Finding>& found : slots) {
@@ -143,21 +143,17 @@ LintReport lint_paths(const std::vector<std::string>& paths,
                            std::make_move_iterator(found.begin()),
                            std::make_move_iterator(found.end()));
   }
-  const Clock::time_point t2 = Clock::now();
+  const Clock::time_point t3 = Clock::now();
 
   std::vector<Finding> project = lint_project(scanned, opts.rules);
   report.findings.insert(report.findings.end(),
                          std::make_move_iterator(project.begin()),
                          std::make_move_iterator(project.end()));
-  GlobalOptions gopts;
-  gopts.rules = opts.rules;
-  gopts.forced_class = opts.forced_class;
-  gopts.jobs = opts.jobs;
-  std::vector<Finding> global = lint_global(scanned, gopts);
+  std::vector<Finding> global = lint_global(index, opts.rules);
   report.findings.insert(report.findings.end(),
                          std::make_move_iterator(global.begin()),
                          std::make_move_iterator(global.end()));
-  const Clock::time_point t3 = Clock::now();
+  const Clock::time_point t4 = Clock::now();
 
   // --only filters what is *reported*; everything above still saw the full
   // file set (cross-TU rules are unsound on a partial index).
@@ -183,8 +179,8 @@ LintReport lint_paths(const std::vector<std::string>& paths,
                      return a.rule < b.rule;
                    });
   report.scan_ms = elapsed_ms(t0, t1);
-  report.rules_ms = elapsed_ms(t1, t2);
-  report.global_ms = elapsed_ms(t2, t3);
+  report.rules_ms = elapsed_ms(t2, t3);
+  report.global_ms = elapsed_ms(t1, t2) + elapsed_ms(t3, t4);
   return report;
 }
 

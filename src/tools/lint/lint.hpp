@@ -34,14 +34,11 @@ struct LintOptions {
 std::vector<std::string> collect_sources(const std::vector<std::string>& paths,
                                          std::vector<std::string>& errors);
 
-/// Lint one already-scanned file.
-std::vector<Finding> lint_scanned(const SourceFile& file,
-                                  const LintOptions& opts,
-                                  const SourceFile* paired_header = nullptr);
-
-/// Lint files on disk. For each .cpp a sibling header with the same stem is
-/// scanned to seed L1's identifier tracking. Unreadable files are reported
-/// in `errors`.
+/// Lint files on disk: scan each input once, build one GlobalIndex over
+/// them (global.hpp), then run the per-file, layering and whole-program
+/// rules on it. Each .cpp is paired with a sibling header of the same stem
+/// — the index's TU when the header is an input, else read from disk as
+/// context only. Unreadable files are reported in `errors`.
 LintReport lint_paths(const std::vector<std::string>& paths,
                       const LintOptions& opts,
                       std::vector<std::string>& errors);

@@ -18,7 +18,9 @@
 //   --stats              print `spiderlint-stats: files=N findings=N
 //                        jobs=N wall_ms=N scan_ms=N rules_ms=N
 //                        global_ms=N` to stderr (CI surfaces it in the job
-//                        summary)
+//                        summary); rules_ms is the per-file rules on the
+//                        built index, global_ms the index build plus L5
+//                        and L13-L16
 //   --jobs=N             fan the per-file pass and the global index build
 //                        out over N workers (0 or omitted value = one per
 //                        hardware thread; default auto). Output is

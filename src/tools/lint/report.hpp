@@ -14,7 +14,8 @@ struct LintReport {
   std::vector<Finding> findings;
   std::size_t files_scanned = 0;
   /// Per-phase wall time (milliseconds), reported by --stats: read+scan,
-  /// the per-file rule pass, and the whole-program pass (L5 + L13-L16).
+  /// the per-file rules on the built index, and the index build plus the
+  /// whole-program rules (L5 + L13-L16).
   /// Not part of the JSON/SARIF renderings — timing is telemetry, not a
   /// finding.
   double scan_ms = 0.0;

@@ -9,7 +9,7 @@
 #include <cctype>
 #include <optional>
 
-#include "tools/lint/callgraph.hpp"
+#include "tools/lint/global.hpp"
 #include "tools/lint/include_graph.hpp"
 #include "tools/lint/symbols.hpp"
 #include "tools/lint/token.hpp"
@@ -574,28 +574,28 @@ void run_l8(const SourceFile& file, const TokenStream& stream,
 // All four shard/pool rules act only on precise, identifier-level evidence
 // (the engine's design rule: a misparse degrades to a missed finding, never
 // a spurious one). The shared inputs: the file's lambdas with parsed
-// capture lists, the per-TU call graph, and the annotation vocabulary
-// merged from the file and its paired header.
+// capture lists, the index's TU-scoped call facts, and the annotation
+// vocabulary merged from the file and its paired header.
 
 struct ConcurrencyInfo {
   std::vector<LambdaSym> lambdas;
-  CallGraph graph;
   std::set<std::string> shard_owned;  ///< SPIDER_SHARD_OWNED member names
   std::set<std::string> guarded;      ///< SPIDER_GUARDED_BY member names
   std::set<std::string> atomics;      ///< members declared std::atomic<...>
+  TuCallFacts calls;
 
-  ConcurrencyInfo(const TokenStream& stream, const FileSymbols& syms,
-                  const TokenStream* header_stream,
-                  const FileSymbols* header_syms,
-                  std::vector<ShardOwnedMember> merged_owned)
-      : lambdas(find_lambdas(stream)), graph(stream, syms, merged_owned) {
-    for (const ShardOwnedMember& m : merged_owned) shard_owned.insert(m.name);
-    for (const GuardedMember& g : syms.guarded) guarded.insert(g.name);
-    if (header_syms != nullptr) {
-      for (const GuardedMember& g : header_syms->guarded) guarded.insert(g.name);
+  ConcurrencyInfo(const GlobalIndex& index, std::size_t tu,
+                  const GlobalTu* header)
+      : lambdas(find_lambdas(index.tu(tu).stream)) {
+    for (const GlobalTu* unit : {&index.tu(tu), header}) {
+      if (unit == nullptr) continue;
+      for (const ShardOwnedMember& m : unit->syms.shard_owned) {
+        shard_owned.insert(m.name);
+      }
+      for (const GuardedMember& g : unit->syms.guarded) guarded.insert(g.name);
+      collect_atomics(unit->stream);
     }
-    collect_atomics(stream);
-    if (header_stream != nullptr) collect_atomics(*header_stream);
+    calls = index.call_facts(tu, shard_owned);
   }
 
  private:
@@ -623,17 +623,6 @@ struct ConcurrencyInfo {
     }
   }
 };
-
-/// Merged SPIDER_SHARD_OWNED members from a file and its paired header.
-std::vector<ShardOwnedMember> merged_shard_owned(
-    const FileSymbols& syms, const FileSymbols* header_syms) {
-  std::vector<ShardOwnedMember> merged = syms.shard_owned;
-  if (header_syms != nullptr) {
-    merged.insert(merged.end(), header_syms->shard_owned.begin(),
-                  header_syms->shard_owned.end());
-  }
-  return merged;
-}
 
 /// Lambdas whose introducer lies strictly inside (open, close) — i.e. the
 /// argument range of a call. Nested lambdas are included: they execute as
@@ -758,12 +747,13 @@ void run_l9(const SourceFile& file, const TokenStream& stream,
           continue;
         }
         if (b + 1 < lam->body_end && is_punct(t[b + 1], "(")) {
-          const std::set<std::string>& touched =
-              info.graph.touched_shard_owned(t[b].text);
-          if (!touched.empty()) {
+          const auto touched = info.calls.touched.find(t[b].text);
+          if (touched != info.calls.touched.end() &&
+              !touched->second.empty()) {
             flag(t[b].line, t[b].col, "call:" + t[b].text,
                  "scheduled closure reaches shard-owned member '" +
-                     *touched.begin() + "' via call to '" + t[b].text + "'");
+                     *touched->second.begin() + "' via call to '" + t[b].text +
+                     "'");
           }
         }
       }
@@ -777,9 +767,10 @@ void run_l9(const SourceFile& file, const TokenStream& stream,
 /// execute as events of one shard (scheduled-lambda bodies, and helper
 /// bodies entered with the context index threaded through a parameter).
 struct L10Scanner {
+  const GlobalIndex& index;
+  std::size_t tu;
   const SourceFile& file;
   const std::vector<Tok>& t;
-  const FileSymbols& syms;
   const ConcurrencyInfo& info;
   std::vector<Finding>& out;
   const RuleInfo& inf = *rule("L10");
@@ -818,9 +809,8 @@ struct L10Scanner {
       const std::string& name = t[i + 2].text;
       std::string idx;
       for (std::size_t k = i + 4; k < t.size() && !is_punct(t[k], ";"); ++k) {
-        if (t[k].kind == TokKind::kIdent &&
-            info.graph.is_handle_fn(t[k].text) && k + 1 < t.size() &&
-            is_punct(t[k + 1], "(")) {
+        if (t[k].kind == TokKind::kIdent && is_handle_fn(t[k].text) &&
+            k + 1 < t.size() && is_punct(t[k + 1], "(")) {
           const std::size_t c = matching_close(t, k + 1);
           if (c < t.size()) idx = reduce_index(t, k + 2, c);
         }
@@ -829,6 +819,16 @@ struct L10Scanner {
       const auto [it, inserted] = bindings.emplace(name, idx);
       if (!inserted && it->second != idx) it->second.clear();
     }
+  }
+
+  bool is_handle_fn(const std::string& name) const {
+    return info.calls.handles.count(name) != 0;
+  }
+
+  const std::vector<std::size_t>& sched_params(const std::string& name) const {
+    static const std::vector<std::size_t> kNone;
+    const auto it = info.calls.sched_params.find(name);
+    return it == info.calls.sched_params.end() ? kNone : it->second;
   }
 
   void flag(std::size_t tok, const std::string& key, std::string msg) {
@@ -873,7 +873,7 @@ struct L10Scanner {
       // handle(IDX).schedule_at/..._in(...): the scheduled lambda runs on
       // IDX; from context `ctx`, a differing spelling is a cross-shard raw
       // schedule.
-      if (info.graph.is_handle_fn(name) && close + 3 < t.size() &&
+      if (is_handle_fn(name) && close + 3 < t.size() &&
           is_punct(t[close + 1], ".") &&
           (is_ident(t[close + 2], "schedule_at") ||
            is_ident(t[close + 2], "schedule_in")) &&
@@ -927,9 +927,8 @@ struct L10Scanner {
       // Helper call: check arguments against the callee's sched-params, and
       // thread the context into its body when passed along unchanged.
       if (ctx.empty()) continue;
-      const std::vector<std::size_t>& sp = info.graph.sched_params(name);
       const std::vector<ArgRange> args = split_args(t, i + 1, close);
-      for (const std::size_t j : sp) {
+      for (const std::size_t j : sched_params(name)) {
         if (j >= args.size()) continue;
         const std::string r = reduce_index(t, args[j].begin, args[j].end);
         if (!r.empty() && r != ctx) {
@@ -940,15 +939,16 @@ struct L10Scanner {
                    "schedule_cross");
         }
       }
-      for (const FunctionSym* def : info.graph.definitions(name)) {
-        const std::vector<std::string>& pnames = info.graph.params_of(*def);
+      for (const GlobalIndex::Ref& ref : index.definitions(name)) {
+        if (ref.tu != tu) continue;  // resolution stays inside this TU
+        const FunctionSym& def = index.fn(ref);
+        const std::vector<std::string>& pnames = info.calls.params[ref.fn];
         for (std::size_t p = 0; p < pnames.size() && p < args.size(); ++p) {
           if (pnames[p].empty()) continue;
           const std::string r = reduce_index(t, args[p].begin, args[p].end);
           if (r != ctx) continue;
-          if (visited.emplace(def->body_begin, pnames[p]).second) {
-            work.push_back(
-                Region{def->body_begin, def->body_end, pnames[p]});
+          if (visited.emplace(def.body_begin, pnames[p]).second) {
+            work.push_back(Region{def.body_begin, def.body_end, pnames[p]});
           }
         }
       }
@@ -956,10 +956,10 @@ struct L10Scanner {
   }
 };
 
-void run_l10(const SourceFile& file, const TokenStream& stream,
-             const FileSymbols& syms, const ConcurrencyInfo& info,
-             std::vector<Finding>& out) {
-  L10Scanner scanner{file, stream.tokens, syms, info, out};
+void run_l10(const GlobalIndex& index, std::size_t tu,
+             const ConcurrencyInfo& info, std::vector<Finding>& out) {
+  L10Scanner scanner{index, tu, *index.tu(tu).file, index.tu(tu).stream.tokens,
+                     info, out};
   scanner.run();
 }
 
@@ -1313,11 +1313,16 @@ FileClass classify_path(std::string_view path) {
         cls.rng_home = sub == "common" && root + 2 < parts.size() &&
                        (parts[root + 2] == "rng.cpp" ||
                         parts[root + 2] == "rng.hpp");
+        cls.repair_context = sub == "tools" && root + 2 < parts.size() &&
+                             (parts[root + 2] == "spiderfsck" ||
+                              parts[root + 2] == "faultcli");
       }
     } else if (parts[root] == "tests") {
       cls.in_tests = true;
+      cls.repair_context = true;
     } else {
       cls.in_bench = true;
+      cls.repair_context = true;
     }
   }
   if (!parts.empty()) {
@@ -1328,15 +1333,19 @@ FileClass classify_path(std::string_view path) {
   return cls;
 }
 
-std::vector<Finding> lint_file(const SourceFile& file, const FileClass& cls,
-                               const SourceFile* paired_header,
+std::vector<Finding> lint_file(const GlobalIndex& index, std::size_t tu,
+                               const GlobalTu* paired_header,
                                const RuleSet& enabled) {
   std::vector<Finding> out;
-  const TokenStream stream = tokenize(file);
-  TokenStream header_stream;
-  if (paired_header != nullptr) header_stream = tokenize(*paired_header);
+  const GlobalTu& unit = index.tu(tu);
+  const SourceFile& file = *unit.file;
+  const TokenStream& stream = unit.stream;
+  const FileSymbols& syms = unit.syms;
+  const FileClass& cls = unit.cls;
   const TokenStream* header =
-      paired_header != nullptr ? &header_stream : nullptr;
+      paired_header != nullptr ? &paired_header->stream : nullptr;
+  const FileSymbols* hsyms =
+      paired_header != nullptr ? &paired_header->syms : nullptr;
 
   if (cls.in_tests || cls.in_bench) {
     // Tests and benches get the hygiene rules only: no unordered iteration,
@@ -1352,25 +1361,14 @@ std::vector<Finding> lint_file(const SourceFile& file, const FileClass& cls,
   if (enabled.l3 && cls.in_src && cls.is_header) run_l3(file, stream, out);
   if (enabled.l4 && cls.in_src) run_l4(file, stream, out);
 
-  const bool concurrency_rules =
-      enabled.l9 || enabled.l10 || enabled.l11 || enabled.l12;
-  if (cls.in_src &&
-      (enabled.l6 || enabled.l7 || enabled.l8 || concurrency_rules)) {
-    const FileSymbols syms = index_symbols(stream);
-    FileSymbols header_syms;
-    const FileSymbols* hsyms = nullptr;
-    if (header != nullptr) {
-      header_syms = index_symbols(*header);
-      hsyms = &header_syms;
-    }
+  if (cls.in_src) {
     if (enabled.l6) run_l6(file, stream, syms, hsyms, out);
     if (enabled.l7) run_l7(file, stream, syms, hsyms, out);
     if (enabled.l8 && cls.calib_scope) run_l8(file, stream, syms, out);
-    if (concurrency_rules) {
-      const ConcurrencyInfo info(stream, syms, header, hsyms,
-                                 merged_shard_owned(syms, hsyms));
+    if (enabled.l9 || enabled.l10 || enabled.l11 || enabled.l12) {
+      const ConcurrencyInfo info(index, tu, paired_header);
       if (enabled.l9) run_l9(file, stream, info, out);
-      if (enabled.l10) run_l10(file, stream, syms, info, out);
+      if (enabled.l10) run_l10(index, tu, info, out);
       if (enabled.l11) run_l11(file, stream, out);
       if (enabled.l12) run_l12(file, stream, syms, info, out);
     }

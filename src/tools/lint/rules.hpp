@@ -166,6 +166,10 @@ struct FileClass {
   bool fs_scope = false;      ///< under src/fs/: L14 applies (global.hpp)
   bool in_tests = false;      ///< under tests/: L1+L2 only
   bool in_bench = false;      ///< under bench/: L1+L2 only
+  /// Under tests/, bench/, src/tools/spiderfsck/ or src/tools/faultcli/:
+  /// may reach repair-only mutators (L13). Read from the path-derived
+  /// class only, never from a --treat-as override.
+  bool repair_context = false;
 };
 
 /// Classify a path by its directory components and extension. The LAST
@@ -173,11 +177,16 @@ struct FileClass {
 /// tests/lint_fixtures/l5_layering/src/... classify as src.
 FileClass classify_path(std::string_view path);
 
-/// Run the enabled per-file rules over one scanned file. `paired_header`,
-/// when given, seeds L1's identifier tracking and L6/L7's symbol index
-/// (guarded members, declaration access levels) with the file's own header.
-std::vector<Finding> lint_file(const SourceFile& file, const FileClass& cls,
-                               const SourceFile* paired_header = nullptr,
+class GlobalIndex;
+struct GlobalTu;
+
+/// Run the enabled per-file rules over TU `tu` of the index, which holds
+/// its tokens and symbols. `paired_header`, when given, seeds L1's
+/// identifier tracking, L6/L7's symbol index (guarded members, declaration
+/// access levels) and L9-L12's annotation vocabulary with the file's own
+/// header.
+std::vector<Finding> lint_file(const GlobalIndex& index, std::size_t tu,
+                               const GlobalTu* paired_header = nullptr,
                                const RuleSet& enabled = {});
 
 /// Run the project-wide rules (L5 layering: upward includes and cycles)

@@ -87,7 +87,8 @@ struct FunctionSym {
   bool has_source_location_param = false;
   std::string params;            ///< flattened parameter-list text
   /// Parameter-list token range (inside the parens) into the file's
-  /// TokenStream, for per-parameter analysis (callgraph.hpp).
+  /// TokenStream, for per-parameter analysis (L9/L10 call facts,
+  /// GlobalIndex::call_facts in global.hpp).
   std::size_t params_begin = 0;
   std::size_t params_end = 0;
   std::vector<std::string> requires_mutexes;  ///< SPIDER_REQUIRES(args)

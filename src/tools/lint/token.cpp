@@ -98,6 +98,31 @@ std::size_t matching_close(const std::vector<Tok>& tokens, std::size_t open) {
   return tokens.size();
 }
 
+int depth_delta(const Tok& tok) {
+  if (tok.kind != TokKind::kPunct || tok.text.size() != 1) return 0;
+  const char c = tok.text[0];
+  if (c == '(' || c == '<' || c == '[' || c == '{') return 1;
+  if (c == ')' || c == '>' || c == ']' || c == '}') return -1;
+  return 0;
+}
+
+std::vector<ArgRange> split_args(const std::vector<Tok>& t, std::size_t open,
+                                 std::size_t close) {
+  std::vector<ArgRange> args;
+  if (close <= open + 1 || close > t.size()) return args;
+  std::size_t begin = open + 1;
+  int depth = 0;
+  for (std::size_t i = open + 1; i < close; ++i) {
+    depth += depth_delta(t[i]);
+    if (depth == 0 && is_punct(t[i], ",")) {
+      args.push_back(ArgRange{begin, i});
+      begin = i + 1;
+    }
+  }
+  args.push_back(ArgRange{begin, close});
+  return args;
+}
+
 bool lambda_intro_at(const std::vector<Tok>& tokens, std::size_t pos) {
   if (pos >= tokens.size() || !is_punct(tokens[pos], "[")) return false;
   // `[[` opens an attribute, and a lone `[` directly inside one (the inner

@@ -65,6 +65,20 @@ inline bool is_ident(const Tok& t, std::string_view name) {
 /// point at the opening token.
 std::size_t matching_close(const std::vector<Tok>& tokens, std::size_t open);
 
+/// +1 for an opening `(`/`<`/`[`/`{`, -1 for its closer, 0 otherwise.
+int depth_delta(const Tok& tok);
+
+/// Token range [begin, end) of one top-level call argument.
+struct ArgRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// Split the argument list between `open` (the `(`) and `close` (its match)
+/// at top-level commas. An empty list yields no ranges.
+std::vector<ArgRange> split_args(const std::vector<Tok>& t, std::size_t open,
+                                 std::size_t close);
+
 /// True when the `[` at `pos` introduces a lambda capture list, judged from
 /// the preceding token: after an identifier, number, string, `)` or `]` a
 /// `[` is a subscript (or an array declarator); after `return`-like

@@ -165,7 +165,7 @@ TEST(SpiderLint, CollectSourcesIsSortedAndDeduplicated) {
   const std::vector<std::string> twice = collect_sources(
       {SPIDER_LINT_FIXTURES_DIR, fixture("l2_nondet_source.cpp")}, errors);
   EXPECT_TRUE(errors.empty());
-  EXPECT_EQ(once.size(), 32u) << "fixture census drifted";
+  EXPECT_EQ(once.size(), 34u) << "fixture census drifted";
   EXPECT_EQ(once, twice);
   EXPECT_TRUE(std::is_sorted(once.begin(), once.end()));
 }
@@ -258,6 +258,34 @@ TEST(SpiderLint, L9FlagsShardEscapesOnly) {
   EXPECT_EQ(r.findings[2].line, 30u);  // [this] { drain(); }
   EXPECT_NE(r.findings[2].message.find("via call to 'drain'"),
             std::string::npos);
+}
+
+TEST(SpiderLint, PairedHeaderAnnotationsReachTheCppAsInputOrContext) {
+  // relay.hpp alone carries SPIDER_SHARD_OWNED and SPIDER_GUARDED_BY;
+  // relay.cpp holds the breaches. Linting the directory makes the header
+  // an input; linting relay.cpp alone leaves it context read from disk.
+  // Both runs must flag relay.cpp identically, and never the header.
+  const LintReport as_input = lint_fixture("l9_paired", kSrc);
+  const LintReport as_context = lint_fixture("l9_paired/relay.cpp", kSrc);
+  for (const LintReport* r : {&as_input, &as_context}) {
+    ASSERT_EQ(r->findings.size(), 3u) << render_text(*r, /*fix_hints=*/false);
+    EXPECT_TRUE(r->findings[0].file.ends_with("l9_paired/relay.cpp"));
+    EXPECT_EQ(r->findings[0].rule, "L9");
+    EXPECT_EQ(r->findings[0].line, 8u);  // [&box = outbox_]
+    EXPECT_EQ(r->findings[1].rule, "L9");
+    EXPECT_EQ(r->findings[1].line, 13u);  // [this] { drain(); }
+    EXPECT_NE(r->findings[1].message.find("via call to 'drain'"),
+              std::string::npos);
+    EXPECT_EQ(r->findings[2].rule, "L6");
+    EXPECT_EQ(r->findings[2].line, 19u);  // sent_ += 1
+  }
+  for (std::size_t i = 0; i < as_context.findings.size(); ++i) {
+    const Finding& a = as_input.findings[i];
+    const Finding& b = as_context.findings[i];
+    EXPECT_EQ(a.file, b.file);
+    EXPECT_EQ(a.column, b.column);
+    EXPECT_EQ(a.message, b.message);
+  }
 }
 
 TEST(SpiderLint, L10FlagsCrossShardRawSchedulesOnly) {
@@ -497,10 +525,9 @@ TEST(SpiderLintGlobal, ShadowedTriggerNamesAndDeclarationsStayQuiet) {
       "void fsck_set_n(int);\n"
       "void use(int);\n"
       "void tick() {\n  int truncate_to = 3;\n  use(truncate_to);\n}\n"));
-  GlobalOptions opts;
-  opts.rules = RuleSet::none();
-  opts.rules.l13 = true;
-  const std::vector<Finding> findings = lint_global(files, opts);
+  RuleSet rules = RuleSet::none();
+  rules.l13 = true;
+  const std::vector<Finding> findings = lint_global(GlobalIndex(files), rules);
   EXPECT_TRUE(findings.empty());
 }
 
