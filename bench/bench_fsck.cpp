@@ -1,14 +1,10 @@
 // spiderfsck scan throughput over namespace size (docs/fsck.md).
 //
-// Builds synthetic namespaces of increasing file count, runs the phase-1
-// scan + phase-2 cross-reference once serially (--jobs=1) and once with the
-// shard fan-out enabled (--jobs=auto over 32 shards), and reports slots/sec.
-// Because fsck output is worker-count invariant by construction, the bench
-// checks in-run that the parallel pass produces byte-identical report JSON
-// and the same state hash as the serial pass — the speedup compares the same
-// verification, not two different ones. A corrupt -> repair -> re-check
-// convergence pass runs once per size as a shape check (repair wall time is
-// reported, not gated).
+// Builds synthetic namespaces of increasing file count, times repeated dry
+// fsck passes (phase-1 scan + phase-2 cross-reference) over each, and
+// reports slots/sec under the `serial_<files>` names the baseline gates. A
+// corrupt -> repair -> re-check convergence pass runs once per size as a
+// shape check (repair wall time is reported, not gated).
 //
 // Modes (mirrors bench_macro_scale):
 //   --spider-json=PATH   write the machine-readable report (scripts/bench.sh
@@ -56,32 +52,22 @@ struct FsckRun {
   double slots_per_sec = 0.0;
   double elapsed_s = 0.0;
   std::size_t reps = 0;
-  std::uint64_t state_hash = 0;
-  std::string report_json;
 };
 
-/// Time `reps` dry fsck passes over one tree with the given fan-out. Dry
-/// runs never mutate, so every rep (and every configuration) sees the same
-/// namespace. `slots` is the actual slot count (creates can fall short of
-/// the requested file count when the cluster fills).
-FsckRun run_point(tools::SyntheticFs& fs, std::size_t slots, std::size_t reps,
-                  std::size_t jobs, std::size_t shards) {
-  tools::FsckOptions options;
-  options.jobs = jobs;
-  options.shards = shards;
+/// Time `reps` dry fsck passes over one tree. Dry runs never mutate, so
+/// every rep sees the same namespace. `slots` is the actual slot count
+/// (creates can fall short of the requested file count when the cluster
+/// fills).
+FsckRun run_point(tools::SyntheticFs& fs, std::size_t slots,
+                  std::size_t reps) {
   FsckRun out;
   out.reps = reps;
-  tools::FsckReport last;
   const Clock::time_point start = Clock::now();  // spiderlint: nondet-ok
-  for (std::size_t r = 0; r < reps; ++r) {
-    last = tools::run_fsck(fs.target(), options);
-  }
+  for (std::size_t r = 0; r < reps; ++r) tools::run_fsck(fs.target());
   out.elapsed_s = seconds_since(start);
   const double scanned =
       static_cast<double>(slots) * static_cast<double>(reps);
   out.slots_per_sec = out.elapsed_s > 0.0 ? scanned / out.elapsed_s : 0.0;
-  out.state_hash = last.state_hash;
-  out.report_json = tools::fsck_report_json(last);
   return out;
 }
 
@@ -139,28 +125,8 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
     const std::size_t reps =
         cfg.target_slots >= slots ? cfg.target_slots / slots : 1;
 
-    const FsckRun serial = run_point(fs, slots, reps, /*jobs=*/1,
-                                     /*shards=*/32);
-    const FsckRun parallel = run_point(fs, slots, reps, /*jobs=*/0,
-                                       /*shards=*/32);
+    const FsckRun serial = run_point(fs, slots, reps);
     add(std::string("serial_") + suffix, serial);
-    add(std::string("parallel_") + suffix, parallel);
-
-    // The determinism bar, in-run: the fanned-out scan must be byte-identical
-    // to the serial one or the speedup compares two different checks.
-    char hash_label[160];
-    std::snprintf(hash_label, sizeof(hash_label),
-                  "%s files: parallel report matches serial (0x%016llx)",
-                  suffix, static_cast<unsigned long long>(serial.state_hash));
-    checker.check(serial.report_json == parallel.report_json &&
-                      serial.state_hash == parallel.state_hash,
-                  hash_label);
-
-    const double speedup = serial.slots_per_sec > 0.0
-                               ? parallel.slots_per_sec / serial.slots_per_sec
-                               : 0.0;
-    report.add(std::string("speedup_") + suffix, "vs_serial", speedup);
-    std::printf("  %-16s %12.2fx parallel speedup\n", suffix, speedup);
 
     // Corrupt -> repair -> re-check convergence, once per size. Repair wall
     // time is reported for trajectory watching; only convergence is gated.

@@ -120,14 +120,14 @@ std::unique_ptr<Oracle> make_oracle(std::string name, OracleCheckFn check) {
 }
 
 std::string violations_json(const std::vector<OracleViolation>& violations) {
-  std::ostringstream os;
+  std::ostringstream os("[", std::ios_base::ate);
   for (std::size_t i = 0; i < violations.size(); ++i) {
     os << (i > 0 ? ", " : "") << "{\"oracle\": \""
        << json_escape(violations[i].oracle)
        << "\", \"at_s\": " << to_seconds(violations[i].at)
        << ", \"detail\": \"" << json_escape(violations[i].detail) << "\"}";
   }
-  return "[" + os.str() + "]";
+  return os.str() + ']';
 }
 
 Oracle& OracleSuite::add(std::unique_ptr<Oracle> oracle) {

@@ -228,7 +228,7 @@ class FaultCampaign {
     std::vector<sim::OracleViolation> post_violations;
     bool post_clean() const { return converged && post_violations.empty(); }
   };
-  FsckOutcome fsck_and_reverify(const FsckOptions& options = {});
+  FsckOutcome fsck_and_reverify();
 
  private:
   FaultCampaign(const sim::FaultPlan& plan, std::uint64_t seed,
@@ -297,15 +297,13 @@ RunVerdict run_campaign_sharded(const sim::FaultPlan& plan, std::uint64_t seed,
 /// state, re-run every oracle, and fold the outcome into verdict.repair.
 /// The event-stream hashes are untouched — fsck runs outside the simulation.
 RunVerdict run_campaign_checked(const sim::FaultPlan& plan, std::uint64_t seed,
-                                const CampaignConfig& cfg = {},
-                                const FsckOptions& fsck = {});
+                                const CampaignConfig& cfg = {});
 
 /// Sharded variant of run_campaign_checked (spiderfault --shards + --fsck).
 RunVerdict run_campaign_sharded_checked(const sim::FaultPlan& plan,
                                         std::uint64_t seed,
                                         const CampaignConfig& cfg = {},
                                         std::size_t shards = 1,
-                                        std::size_t workers = 0,
-                                        const FsckOptions& fsck = {});
+                                        std::size_t workers = 0);
 
 }  // namespace spider::tools

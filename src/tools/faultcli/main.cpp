@@ -12,7 +12,6 @@
 //   --fsck                after each run: spiderfsck repair + re-run oracles
 //                         (verdict JSON grows a "repair" section; a run whose
 //                         repaired state re-checks dirty always fails)
-//   --fsck-jobs=N         phase-1 scan lanes for the fsck stage (default 1)
 //
 // Churn mode (no plan files; the billion-entry changelog harness):
 //   --churn                    run the metadata churn scenario instead of
@@ -65,7 +64,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seeds=N] [--base-seed=S] [--mutations=M]\n"
                "       [--horizon-s=X] [--jobs=N] [--shards=N]\n"
-               "       [--expect-violations] [--fsck] [--fsck-jobs=N]\n"
+               "       [--expect-violations] [--fsck]\n"
                "       <plan.fplan>...\n"
                "   or: %s --churn [--churn-namespaces=N] [--churn-files=N]\n"
                "       [--churn-cohort=N] [--churn-ops=N] [--churn-epochs=N]\n"
@@ -90,7 +89,6 @@ int main(int argc, char** argv) {
   double horizon_s = 0.0;
   bool expect_violations = false;
   bool fsck = false;
-  std::uint64_t fsck_jobs = 1;
   bool churn = false;
   tools::ChurnRunConfig churn_cfg;
   std::vector<std::string> plan_paths;
@@ -151,8 +149,6 @@ int main(int argc, char** argv) {
       expect_violations = true;
     } else if (arg == "--fsck") {
       fsck = true;
-    } else if (arg.starts_with("--fsck-jobs=")) {
-      if (!parse_count(arg.substr(12), fsck_jobs)) return usage(argv[0]);
     } else if (arg.starts_with("--")) {
       std::fprintf(stderr, "spiderfault: unknown option '%s'\n", argv[i]);
       return usage(argv[0]);
@@ -217,8 +213,6 @@ int main(int argc, char** argv) {
   // Campaigns are independent single-threaded simulations, so they fan out
   // across the shared pool. Verdict lines are buffered per job and emitted
   // in enumeration order below, keeping stdout byte-identical to --jobs=1.
-  tools::FsckOptions fsck_opts;
-  fsck_opts.jobs = static_cast<std::size_t>(fsck_jobs);
   std::vector<tools::RunVerdict> verdicts(run_jobs.size());
   parallel_for(
       run_jobs.size(),
@@ -227,11 +221,9 @@ int main(int argc, char** argv) {
           verdicts[i] =
               engine_shards > 0
                   ? tools::run_campaign_sharded_checked(
-                        run_jobs[i].plan, run_jobs[i].seed, cfg, engine_shards,
-                        /*workers=*/0, fsck_opts)
+                        run_jobs[i].plan, run_jobs[i].seed, cfg, engine_shards)
                   : tools::run_campaign_checked(run_jobs[i].plan,
-                                                run_jobs[i].seed, cfg,
-                                                fsck_opts);
+                                                run_jobs[i].seed, cfg);
         } else {
           verdicts[i] =
               engine_shards > 0

@@ -1,4 +1,4 @@
-// spiderfsck CLI — parallel namespace consistency checker and repairer.
+// spiderfsck CLI — namespace consistency checker and repairer.
 //
 // Usage: spiderfsck [options]
 //   --files=N     synthetic namespace size (default 64)
@@ -6,18 +6,14 @@
 //   --churn=F     per-file unlink probability while populating (default 0.25)
 //   --seed=S      population + corruption seed (default 2014)
 //   --corrupt=N   apply N seeded corruptions before checking (default 0)
-//   --jobs=N      phase-1 scan lanes (default 1; 0 = whole machine)
-//   --shards=N    phase-1 scan shards (default 8)
-//   --strided     strided instead of contiguous shard assignment
 //   --dry-run     detect only; do not repair
 //   --json        print the full fsck report as one JSON line
 //
 // The tool builds a deterministic synthetic namespace + op journal + DNE
 // shard set from --seed, optionally damages it with seeded corruptions
 // (cycling through every finding kind), then runs the three fsck phases.
-// Output is byte-identical at any --jobs/--shards/--strided setting: shard
-// results are buffered and merged in canonical order, so parallelism never
-// leaks into stdout — the determinism bar scripts/check.sh diffs.
+// Output is a function of the options alone: findings print in canonical
+// order.
 //
 // Exit codes: 0 clean (dry run found nothing, or repair converged — the
 // post-repair re-check found nothing), 1 findings remain (dry run found
@@ -37,8 +33,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--files=N] [--osts=N] [--churn=F] [--seed=S]\n"
-               "       [--corrupt=N] [--jobs=N] [--shards=N] [--strided]\n"
-               "       [--dry-run] [--json]\n",
+               "       [--corrupt=N] [--dry-run] [--json]\n",
                argv0);
   return 2;
 }
@@ -52,8 +47,6 @@ int main(int argc, char** argv) {
   tools::FsckOptions options;
   options.repair = true;
   std::uint64_t corruptions = 0;
-  std::uint64_t jobs = 1;
-  std::uint64_t shards = 0;
   bool json = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -78,14 +71,6 @@ int main(int argc, char** argv) {
       if (!parse_count(arg.substr(7), fs_cfg.seed)) return usage(argv[0]);
     } else if (arg.starts_with("--corrupt=")) {
       if (!parse_count(arg.substr(10), corruptions)) return usage(argv[0]);
-    } else if (arg.starts_with("--jobs=")) {
-      if (!parse_count(arg.substr(7), jobs)) return usage(argv[0]);
-    } else if (arg.starts_with("--shards=")) {
-      if (!parse_count(arg.substr(9), shards) || shards == 0) {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--strided") {
-      options.assignment = tools::ShardAssignment::kStrided;
     } else if (arg == "--dry-run") {
       options.repair = false;
     } else if (arg == "--json") {
@@ -95,8 +80,6 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  options.jobs = static_cast<std::size_t>(jobs);
-  options.shards = static_cast<std::size_t>(shards);
 
   tools::SyntheticFs fs = tools::make_synthetic_fs(fs_cfg);
   tools::FsckTarget target = fs.target();
@@ -149,13 +132,9 @@ int main(int argc, char** argv) {
 
   if (!options.repair) return report.clean() ? 0 : 1;
 
-  // Repair mode: the bar is convergence — a re-check of the repaired tree
-  // must come back clean. The re-check runs serially; fan-out has already
-  // been exercised by the primary pass.
-  tools::FsckOptions recheck;
-  recheck.jobs = 1;
-  recheck.shards = options.shards;
-  const tools::FsckReport verify = tools::run_fsck(target, recheck);
+  // Repair mode: the bar is convergence — a dry re-check of the repaired
+  // tree must come back clean.
+  const tools::FsckReport verify = tools::run_fsck(target);
   if (!verify.clean()) {
     std::fprintf(stderr,
                  "spiderfsck: repair did not converge: %zu finding(s) remain\n",

@@ -289,7 +289,7 @@ ScenarioResult run_scenario(const std::vector<double>& sizes, bool churn) {
     std::vector<FlowId> chaff_ids;
     for (int i = 0; i < count; ++i) {
       FlowDesc d;
-      d.path = {{chaff_r, 1.0}};
+      d.path.push_back({chaff_r, 1.0});
       d.size = 1.0;
       chaff_ids.push_back(net.start_flow(std::move(d)));
     }
@@ -307,12 +307,9 @@ ScenarioResult run_scenario(const std::vector<double>& sizes, bool churn) {
     FlowDesc d;
     // Path shape cycles through the measured resources; every flow crosses
     // at least two so fair-share coupling is real.
-    switch (i % 4) {
-      case 0: d.path = {{r0, 1.0}, {r1, 1.0}}; break;
-      case 1: d.path = {{r1, 1.0}, {r2, 1.0}}; break;
-      case 2: d.path = {{r2, 1.0}, {r3, 1.0}}; break;
-      default: d.path = {{r3, 1.0}, {r0, 1.0}}; break;
-    }
+    const ResourceId ring[] = {r0, r1, r2, r3};
+    d.path.push_back({ring[i % 4], 1.0});
+    d.path.push_back({ring[(i + 1) % 4], 1.0});
     d.size = sizes[i];
     // Distinct inexact cap per flow: fair-share ties would give every flow
     // on a bottleneck the *same* rate, and reordered sums of equal values

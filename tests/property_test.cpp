@@ -203,8 +203,8 @@ class FsckSoundnessP : public ::testing::TestWithParam<int> {};
 TEST_P(FsckSoundnessP, TruncatedJournalOrUnjournaledChurnNeverChecksClean) {
   // However the namespace and its op log are driven apart — a crash that
   // loses a journal tail, unlinks that never hit the journal, or both —
-  // spiderfsck must never report the tree clean, and one repairing pass
-  // must reconcile it.
+  // spiderfsck must never report the tree clean, one repairing pass must
+  // reconcile it, and a second repairing pass must change nothing.
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   Rng rng(0x5fc5u + seed * 0x9e3779b97f4a7c15ull);
   tools::SyntheticFsConfig cfg;
@@ -235,11 +235,19 @@ TEST_P(FsckSoundnessP, TruncatedJournalOrUnjournaledChurnNeverChecksClean) {
 
   tools::FsckOptions repair;
   repair.repair = true;
-  repair.jobs = 1 + rng.uniform_index(4);
   tools::run_fsck(fs.target(), repair);
   EXPECT_TRUE(tools::run_fsck(fs.target()).clean())
       << "mode=" << mode << " seed=" << seed << "\n"
       << tools::fsck_report_json(tools::run_fsck(fs.target()));
+
+  // Repair is idempotent: a second repairing pass over the repaired tree
+  // applies nothing and leaves the state exactly as the first pass left it.
+  const std::uint64_t repaired_hash = tools::fsck_state_hash(fs.target());
+  const tools::FsckReport again = tools::run_fsck(fs.target(), repair);
+  EXPECT_EQ(again.repairs_applied, 0u) << "mode=" << mode << " seed=" << seed;
+  EXPECT_EQ(again.state_hash, repaired_hash)
+      << "mode=" << mode << " seed=" << seed;
+  EXPECT_EQ(tools::fsck_state_hash(fs.target()), repaired_hash);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FsckSoundnessP, ::testing::Range(0, 9));
