@@ -14,8 +14,10 @@
 #   build-dir   defaults to build-bench/ (kept separate from build/ so a
 #               sanitizer or Debug tree never pollutes perf numbers).
 #
-# Exit code is non-zero when any bench's shape check fails or a metric drops
-# below the 0.60x regression floor of its baseline.
+# Every bench runs even when an earlier one fails, so one host-speed miss
+# does not hide the others' reports. Exit code is non-zero when any bench's
+# shape check fails or a metric drops below the 0.60x regression floor of
+# its baseline; the failing benches are listed at the end.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,32 +38,23 @@ cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${BUILD_DIR}" -j "${JOBS}" \
     --target bench_micro_engine bench_macro_scale bench_fsck bench_changelog bench_lint
 
-echo "=== [bench] engine throughput ==="
-"${BUILD_DIR}/bench/bench_micro_engine" \
-    --spider-json=BENCH_engine.json \
-    --baseline=ci/bench-baseline-engine.json \
-    ${SMOKE}
+FAILED=()
+# run_bench <title> <bench> <report>: run one bench against its baseline.
+run_bench() {
+  echo "=== [bench] $1 ==="
+  "${BUILD_DIR}/bench/$2" \
+      --spider-json="BENCH_$3.json" \
+      --baseline="ci/bench-baseline-$3.json" \
+      ${SMOKE} || FAILED+=("$2")
+}
 
-echo "=== [bench] macro-scale sharded engine ==="
-"${BUILD_DIR}/bench/bench_macro_scale" \
-    --spider-json=BENCH_scale.json \
-    --baseline=ci/bench-baseline-scale.json \
-    ${SMOKE}
+run_bench "engine throughput" bench_micro_engine engine
+run_bench "macro-scale sharded engine" bench_macro_scale scale
+run_bench "spiderfsck scan throughput" bench_fsck fsck
+run_bench "changelog incremental vs scan" bench_changelog changelog
+run_bench "spiderlint whole-tree wall time" bench_lint lint
 
-echo "=== [bench] spiderfsck scan throughput ==="
-"${BUILD_DIR}/bench/bench_fsck" \
-    --spider-json=BENCH_fsck.json \
-    --baseline=ci/bench-baseline-fsck.json \
-    ${SMOKE}
-
-echo "=== [bench] changelog incremental vs scan ==="
-"${BUILD_DIR}/bench/bench_changelog" \
-    --spider-json=BENCH_changelog.json \
-    --baseline=ci/bench-baseline-changelog.json \
-    ${SMOKE}
-
-echo "=== [bench] spiderlint whole-tree wall time ==="
-"${BUILD_DIR}/bench/bench_lint" \
-    --spider-json=BENCH_lint.json \
-    --baseline=ci/bench-baseline-lint.json \
-    ${SMOKE}
+if ((${#FAILED[@]} > 0)); then
+  echo "=== [bench] FAILED: ${FAILED[*]} ===" >&2
+  exit 1
+fi

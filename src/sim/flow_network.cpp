@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace spider::sim {
@@ -120,9 +120,9 @@ void FlowNetwork::resolve() {
     stats_[r].current_load = solver_.utilization[r];
   }
 
-  if (!std::isinf(min_completion_s)) {
-    SimTime dt = from_seconds(min_completion_s);
-    if (dt < 1) dt = 1;  // always move forward
+  // No event when the completion is past SimTime; later changes re-solve.
+  const SimTime dt = completion_delay(min_completion_s);
+  if (dt > 0) {
     completion_event_ = sim_.schedule_in(dt, [this] { on_completion_event(); });
     completion_scheduled_ = true;
   }
@@ -144,6 +144,7 @@ void FlowNetwork::on_completion_event() {
       ++it;
     }
   }
+  if (done.empty()) ++idle_completions_;
   const SimTime now = sim_.now();
   for (auto& [id, cb] : done) {
     if (cb) cb(id, now);
@@ -162,6 +163,12 @@ void FlowNetwork::activate(FlowId id, FlowDesc desc) {
   for (const auto& hop : f.path) ++stats_[hop.resource].flows_seen;
   flows_.emplace(id, std::move(f));
   resolve();
+}
+
+SimTime FlowNetwork::completion_delay(double s) const {
+  if (!fits_sim_time(s)) return 0;
+  const SimTime dt = from_seconds_ceil(s);
+  return dt <= std::numeric_limits<SimTime>::max() - sim_.now() ? dt : 0;
 }
 
 double FlowNetwork::flow_rate(FlowId id) const {

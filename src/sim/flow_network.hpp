@@ -82,6 +82,10 @@ class FlowNetwork {
   std::uint64_t solves() const { return solves_; }
   std::uint64_t solved_flows() const { return solved_flows_; }
   std::uint64_t solved_resources() const { return solved_resources_; }
+  /// Completion events that finished no flow. Each one is a wasted event
+  /// plus a re-solve of an unchanged flow set; the ceiling-ns schedule
+  /// (see completion_delay) keeps it at 0.
+  std::uint64_t idle_completions() const { return idle_completions_; }
 
  private:
   struct ActiveFlow {
@@ -102,6 +106,11 @@ class FlowNetwork {
   void advance_progress();
   /// Re-solve rates and schedule the next completion event.
   void resolve();
+  /// Delay of a completion `s` seconds from now, rounded up to the next ns
+  /// (from_seconds_ceil): a truncated delay fires while the earliest flow
+  /// still has a residue, which finishes nothing. 0 (schedule nothing) when
+  /// the time is infinite or past SimTime's range.
+  SimTime completion_delay(double s) const;
   void on_completion_event();
 
   Simulator& sim_;
@@ -131,6 +140,7 @@ class FlowNetwork {
   std::uint64_t solves_ = 0;
   std::uint64_t solved_flows_ = 0;
   std::uint64_t solved_resources_ = 0;
+  std::uint64_t idle_completions_ = 0;
 };
 
 }  // namespace spider::sim

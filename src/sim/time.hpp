@@ -31,6 +31,17 @@ inline constexpr bool fits_sim_time(double s) {
   return ns > -0x1p63 && ns < 0x1p63;
 }
 
+/// Convert a delay in seconds to SimTime, rounding up to the next whole
+/// nanosecond and never below 1 ns: an event scheduled this far ahead fires
+/// no earlier than s seconds (and at most 1 ns later) and always moves the
+/// clock forward. Requires fits_sim_time(s).
+inline constexpr SimTime from_seconds_ceil(double s) {
+  const double ns = s * static_cast<double>(kSecond);
+  SimTime t = static_cast<SimTime>(ns);
+  if (static_cast<double>(t) < ns) ++t;
+  return t < 1 ? 1 : t;
+}
+
 /// Convert SimTime to fractional seconds.
 // spiderlint: units-ok — this IS the unit boundary: SimTime -> raw seconds
 inline constexpr double to_seconds(SimTime t) {

@@ -3,18 +3,22 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/distributions.hpp"
-
 namespace spider::workload {
 
-RequestSizeModel::RequestSizeModel(const WorkloadMixParams& mix) : mix_(mix) {
-  if (mix_.small_fraction < 0.0 || mix_.small_fraction > 1.0) {
+namespace {
+const WorkloadMixParams& checked(const WorkloadMixParams& mix) {
+  if (mix.small_fraction < 0.0 || mix.small_fraction > 1.0) {
     throw std::invalid_argument("small_fraction must be in [0,1]");
   }
-  if (mix_.small_lo >= mix_.small_hi || mix_.large_max_mb == 0) {
+  if (mix.small_lo >= mix.small_hi || mix.large_max_mb == 0) {
     throw std::invalid_argument("bad size-mode bounds");
   }
+  return mix;
 }
+}  // namespace
+
+RequestSizeModel::RequestSizeModel(const WorkloadMixParams& mix)
+    : mix_(checked(mix)), large_mb_(mix_.large_max_mb, mix_.large_zipf_s) {}
 
 Bytes RequestSizeModel::sample(Rng& rng) const {
   if (rng.chance(mix_.small_fraction)) {
@@ -25,8 +29,7 @@ Bytes RequestSizeModel::sample(Rng& rng) const {
     return static_cast<Bytes>(std::exp2(rng.uniform(lo, hi)));
   }
   // Large mode: exact multiples of 1 MB, Zipf-weighted toward 1 MB.
-  const Zipf zipf(mix_.large_max_mb, mix_.large_zipf_s);
-  const std::size_t k = zipf.sample(rng) + 1;
+  const std::size_t k = large_mb_.sample(rng) + 1;
   return static_cast<Bytes>(k) * 1_MB;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "block/disk.hpp"
+#include "common/distributions.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "sim/time.hpp"
@@ -56,6 +57,8 @@ class RequestSizeModel {
 
  private:
   WorkloadMixParams mix_;
+  /// Large-mode multiplier k-1 over [0, large_max_mb), built once.
+  Zipf large_mb_;
 };
 
 /// Direction sampler honoring the write fraction.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include "sim/flow_network.hpp"
@@ -250,6 +252,98 @@ TEST_F(Fixture, ManyFlowsConserveBytes) {
   EXPECT_EQ(completions, 50);
   EXPECT_NEAR(net.total_delivered(), expected, expected * 1e-5);
   EXPECT_NEAR(net.stats(a).served, expected, expected * 2e-5);
+}
+
+// --- completion scheduling -------------------------------------------------
+//
+// resolve() schedules the next completion at the ceiling nanosecond. A
+// truncated time fires while the earliest flow still holds a residue above
+// the finish threshold, so the event completes nothing, re-solves the same
+// flow set and fires again 1 ns later (an idle completion).
+
+TEST_F(Fixture, SingleBottleneckCompletesAtCeilingNanosecond) {
+  // 1e9 units at 3e9 u/s: 333,333,333.3 ns. The truncated instant leaves
+  // one unit, far above the finish threshold.
+  const auto r = net.add_resource("link", 3e9);
+  SimTime done_at = -1;
+  FlowDesc d;
+  d.path.push_back({r, 1.0});
+  d.size = 1e9;
+  d.on_complete = [&](FlowId, SimTime t) { done_at = t; };
+  net.start_flow(std::move(d));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(done_at, 333'333'334);
+  EXPECT_EQ(net.idle_completions(), 0u);
+  EXPECT_EQ(net.total_delivered(), 1e9);
+}
+
+TEST_F(Fixture, SharedOstsWithStaggeredArrivalsHaveNoIdleCompletions) {
+  // C16-shaped: checkpoint writers and analytics readers share 8 OSTs
+  // behind per-client links and one router; flows arrive staggered over
+  // path latencies, and each completion starts the writer's next chunk.
+  constexpr int kOsts = 8;
+  constexpr int kClients = 48;
+  std::vector<ResourceId> osts;
+  for (int o = 0; o < kOsts; ++o) {
+    osts.push_back(net.add_resource("ost", 1.1e9 + 3.7e7 * o));
+  }
+  const ResourceId router = net.add_resource("router", 6.4e9);
+  std::vector<ResourceId> links;
+  for (int c = 0; c < kClients; ++c) links.push_back(net.add_resource("client", 9e8));
+
+  int completions = 0;
+  int started = 0;
+  std::function<void(int, int)> start = [&](int client, int chunk) {
+    FlowDesc d;
+    d.path.push_back({links[client], 1.0});
+    d.path.push_back({router, 1.0});
+    d.path.push_back({osts[(client + chunk) % kOsts], client % 3 == 0 ? 1.0 : 1.25});
+    d.size = 4.0e8 / 3.0 + 7.1e6 * ((client * 7 + chunk) % 13);
+    d.latency = 1 + 250'000 * ((client * 11 + chunk * 5) % 17);
+    if (client % 4 == 0) d.rate_cap = 2.2e8 / 7.0;  // analytics reader
+    d.on_complete = [&, client, chunk](FlowId, SimTime) {
+      ++completions;
+      if (chunk < 5) start(client, chunk + 1);
+    };
+    ++started;
+    net.start_flow(std::move(d));
+  };
+  for (int c = 0; c < kClients; ++c) start(c, 0);
+  sim.run();
+  EXPECT_EQ(started, kClients * 6);
+  EXPECT_EQ(completions, started);
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_EQ(net.idle_completions(), 0u);
+}
+
+TEST_F(Fixture, CompletionPastSimTimeRangeSchedulesNothing) {
+  // 1e20 units at 1 u/s is ~3e12 years: past SimTime's range. No
+  // completion is scheduled; the flow stays active and idles the queue.
+  const auto r = net.add_resource("link", 1.0);
+  FlowDesc d;
+  d.path.push_back({r, 1.0});
+  d.size = 1e20;
+  net.start_flow(std::move(d));
+  EXPECT_LE(sim.run(kMillisecond), 1u);
+  EXPECT_EQ(net.active_flows(), 1u);
+  EXPECT_EQ(net.solves(), 1u);
+  EXPECT_EQ(net.idle_completions(), 0u);
+  // A capacity change re-solves; the new completion is in range again.
+  net.set_capacity(r, 1e20);
+  sim.run();
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
+TEST_F(Fixture, CompletionPastTheLastSimTimeSchedulesNothing) {
+  // The delay fits SimTime, but now + delay does not.
+  const auto r = net.add_resource("link", 1.0);
+  sim.run(std::numeric_limits<SimTime>::max() - kSecond);
+  FlowDesc d;
+  d.path.push_back({r, 1.0});
+  d.size = 2.0;
+  net.start_flow(std::move(d));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(net.active_flows(), 1u);
 }
 
 // --- insertion-order / hash-order regression (spiderlint rule L1) ----------

@@ -97,10 +97,10 @@ TEST(IncidentGolden, CampaignStreamHashIsPinned) {
   EXPECT_TRUE(verdict.clean()) << tools::verdict_json(verdict);
   // The site-free stream hash pins event (time, id) order; telemetry pins
   // the workload outcome. Both are independent of source line numbers.
-  EXPECT_EQ(verdict.stream_hash, 0x0710faa19bdba7aaull)
+  EXPECT_EQ(verdict.stream_hash, 0x752f215bb1ede928ull)
       << "actual: 0x" << std::hex << verdict.stream_hash << "\n"
       << tools::verdict_json(verdict);
-  EXPECT_EQ(verdict.events, 273u) << tools::verdict_json(verdict);
+  EXPECT_EQ(verdict.events, 214u) << tools::verdict_json(verdict);
   EXPECT_EQ(verdict.files_created, 60u) << tools::verdict_json(verdict);
   EXPECT_EQ(verdict.injections_fired, 3u);
   EXPECT_EQ(verdict.reverts_fired, 2u);
@@ -118,7 +118,7 @@ TEST(IncidentGolden, CorruptRepairTraceIsPinned) {
   ASSERT_TRUE(verdict.clean()) << tools::verdict_json(verdict);
   // The fsck stage runs outside the simulation: the pinned stream hash must
   // be untouched by journaling the campaign's creates and purge-unlinks.
-  ASSERT_EQ(verdict.stream_hash, 0x0710faa19bdba7aaull);
+  ASSERT_EQ(verdict.stream_hash, 0x752f215bb1ede928ull);
 
   Rng rng(2014);
   for (const tools::FindingKind kind :
@@ -156,10 +156,10 @@ TEST(IncidentGolden, ShardedCampaignReproducesSerialGolden) {
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     const tools::RunVerdict verdict =
         tools::run_campaign_sharded(plan, 2014, {}, shards, /*workers=*/1);
-    EXPECT_EQ(verdict.stream_hash, 0x0710faa19bdba7aaull)
+    EXPECT_EQ(verdict.stream_hash, 0x752f215bb1ede928ull)
         << "shards=" << shards << " actual: 0x" << std::hex
         << verdict.stream_hash;
-    EXPECT_EQ(verdict.events, 273u) << "shards=" << shards;
+    EXPECT_EQ(verdict.events, 214u) << "shards=" << shards;
     EXPECT_EQ(tools::verdict_json(verdict), serial_json)
         << "shards=" << shards;
   }

@@ -23,6 +23,23 @@ TEST(SimTime, Conversions) {
   EXPECT_DOUBLE_EQ(to_days(36 * kHour), 1.5);
 }
 
+TEST(SimTime, FromSecondsCeilRoundsUpToAtLeastOneNanosecond) {
+  // A whole number of nanoseconds is unchanged.
+  EXPECT_EQ(from_seconds_ceil(1.5), 1500 * kMillisecond);
+  EXPECT_EQ(from_seconds_ceil(0.125), 125 * kMillisecond);
+  EXPECT_EQ(from_seconds_ceil(4096.0), 4096 * kSecond);
+  // A fraction of a nanosecond rounds up, where from_seconds truncates.
+  EXPECT_EQ(from_seconds_ceil(1.0 / 3.0), 333'333'334);
+  EXPECT_EQ(from_seconds(1.0 / 3.0), 333'333'333);
+  EXPECT_EQ(from_seconds_ceil(2.5e-9), 3);
+  // Never below 1 ns, so an event scheduled with it moves time forward.
+  EXPECT_EQ(from_seconds_ceil(0.0), 1);
+  EXPECT_EQ(from_seconds_ceil(1e-15), 1);
+  EXPECT_EQ(from_seconds_ceil(-1.0), 1);
+  // The largest delays that fit SimTime convert without overflow.
+  EXPECT_EQ(from_seconds_ceil(0x1p62 / 1e9), std::int64_t{1} << 62);
+}
+
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
