@@ -4,7 +4,10 @@
 // fsck passes (phase-1 scan + phase-2 cross-reference) over each, and
 // reports slots/sec under the `serial_<files>` names the baseline gates. A
 // corrupt -> repair -> re-check convergence pass runs once per size as a
-// shape check (repair wall time is reported, not gated).
+// shape check (repair wall time is reported, not gated). One more tree,
+// whose journal holds every OpKind and at least 4x its slot count in
+// records, reports journal records/sec of a dry pass as `journal_<records>`
+// (report-only: no baseline entry, no floor).
 //
 // Modes (mirrors bench_macro_scale):
 //   --spider-json=PATH   write the machine-readable report (scripts/bench.sh
@@ -12,6 +15,7 @@
 //   --baseline=FILE      gate serial slots/sec against a checked-in report
 //                        (ci/bench-baseline-fsck.json) at a 0.60x noise floor
 //   --smoke              seconds-long run sized for CI
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <optional>
@@ -22,6 +26,9 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/text.hpp"
+#include "common/units.hpp"
+#include "fs/fs_namespace.hpp"
+#include "sim/time.hpp"
 #include "tools/spiderfsck/fsck.hpp"
 
 namespace {
@@ -69,6 +76,47 @@ FsckRun run_point(tools::SyntheticFs& fs, std::size_t slots,
       static_cast<double>(slots) * static_cast<double>(reps);
   out.slots_per_sec = out.elapsed_s > 0.0 ? scanned / out.elapsed_s : 0.0;
   return out;
+}
+
+/// Grow `fs`'s journal to at least 4x its slot count through the
+/// namespace's changelog: touches, resizes and project moves of live files,
+/// plus unlink/re-create churn, so all five OpKinds appear and the tree
+/// still checks clean.
+void add_journal_churn(tools::SyntheticFs& fs, std::uint64_t seed) {
+  fs.ns->attach_oplog(fs.journal.get());
+  std::vector<fs::FileId> live = fs.ns->live_ids();
+  std::sort(live.begin(), live.end());
+  Rng rng(seed);
+  sim::SimTime now = fs.journal->records().back().at;
+  const std::size_t target = 4 * fs.ns->slot_count();
+  while (!live.empty() && fs.journal->size() < target) {
+    now += sim::kSecond;
+    const std::size_t pick = rng.uniform_index(live.size());
+    const fs::FileId id = live[pick];
+    const auto project = static_cast<std::uint32_t>(rng.uniform_index(4));
+    switch (rng.uniform_index(5)) {
+      case 0:
+        fs.ns->touch_file(id, now);
+        break;
+      case 1:
+        fs.ns->resize_file(id, 16_MiB + rng.uniform_index(48_MiB), now);
+        break;
+      case 2:
+        fs.ns->set_project(id, project, now);
+        break;
+      default: {
+        fs.ns->unlink(id, now);
+        const Bytes size = (4 + rng.uniform_index(61)) * 1_MiB;
+        live[pick] = fs.ns->create_file(project, size, now, rng);
+        if (live[pick] == fs::kNoFile) {
+          live[pick] = live.back();
+          live.pop_back();
+        }
+        break;
+      }
+    }
+  }
+  fs.journal->commit(fs.journal->last_txid());
 }
 
 int run_bench(const std::string& json_path, const std::string& baseline_path,
@@ -154,6 +202,34 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
     }
 
     gate(std::string("serial_") + suffix, serial);
+  }
+
+  // Journal throughput: on a journal this long, a dry pass spends most of
+  // its time on the records (replay_op_log, and the state hash folding
+  // each one), not on the slots.
+  {
+    tools::SyntheticFsConfig fs_cfg;
+    fs_cfg.files = cfg.sizes.back();
+    tools::SyntheticFs fs = tools::make_synthetic_fs(fs_cfg);
+    add_journal_churn(fs, 2014);
+    const std::size_t slots = fs.ns->slot_count();
+    const std::size_t records = fs.journal->size();
+    char name[48];
+    std::snprintf(name, sizeof(name), "journal_%zu", records);
+    checker.check(records >= 4 * slots && tools::run_fsck(fs.target()).clean(),
+                  std::string(name) + ": clean tree, journal >= 4x slots");
+    const std::size_t reps =
+        std::max<std::size_t>(1, 4 * cfg.target_slots / records);
+    const FsckRun run = run_point(fs, slots, reps);
+    const double replayed = static_cast<double>(records * reps);
+    const double records_per_sec =
+        run.elapsed_s > 0.0 ? replayed / run.elapsed_s : 0.0;
+    report.add(name, "records_per_sec", records_per_sec);
+    report.add(name, "slots", static_cast<double>(slots));
+    report.add(name, "elapsed_s", run.elapsed_s);
+    report.add(name, "reps", static_cast<double>(reps));
+    std::printf("  %-16s %12.0f records/sec  (%zu slots, %zu reps in %.3fs)\n",
+                name, records_per_sec, slots, reps, run.elapsed_s);
   }
 
   if (!json_path.empty()) {

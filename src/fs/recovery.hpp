@@ -65,7 +65,9 @@ FailoverOutcome simulate_oss_failover(const RecoveryParams& params);
 // counters and live set vs. the inode table) and as its phase-3 repair
 // primitive (advance the cursor over a backfilled tail).
 
-/// Counters derived from one full replay of an op log.
+/// Counters derived from one full replay of an op log. Record positions are
+/// indices into `log.records()` at replay time, kept full width
+/// (std::size_t) because a changelog can outgrow 2^32 records.
 struct OpLogSummary {
   std::uint64_t creates = 0;
   std::uint64_t unlinks = 0;
@@ -75,13 +77,22 @@ struct OpLogSummary {
   /// Files whose last journaled op is a create (created and never unlinked),
   /// ascending file-id order — the journal's view of the live set.
   std::vector<std::uint64_t> live;
+  /// Parallel to `live`: position of each live file's first create record
+  /// (the earliest in the log, even when the file was unlinked and
+  /// re-created since).
+  std::vector<std::size_t> live_first_create;
+  /// Positions, in log order, of unlink records whose file no create record
+  /// anywhere in the log mentions (spiderfsck's ghost unlinks).
+  std::vector<std::size_t> ghost_unlinks;
   /// Sum of the sizes of the journal-live files (kResize records update a
   /// live file's size in place).
   Bytes live_bytes = 0;
   std::uint64_t last_txid = 0;
 };
 
-/// Replay every record of `log` from txid 1 through the tail.
+/// Replay every record of `log` from txid 1 through the tail, in one pass.
+/// Per file: a create while live is a no-op, an unlink kills the file, a
+/// resize updates only a live file, and a create after an unlink revives it.
 OpLogSummary replay_op_log(const OpLog& log);
 
 /// Replay only the records beyond `cursor` (exclusive), on top of nothing —

@@ -175,18 +175,15 @@ FsckReport run_fsck(const FsckTarget& target, const FsckOptions& options) {
     report.findings.push_back(std::move(f));
   }
 
-  std::map<std::uint64_t, fs::OpRecord> create_by_id;
+  // One replay serves the whole cross-reference and the repairs below.
+  fs::OpLogSummary summary;
   std::size_t missing_creates = 0;
   if (target.journal != nullptr) {
     const fs::OpLog& log = *target.journal;
-    const fs::OpLogSummary summary = fs::replay_op_log(log);
-    for (const fs::OpRecord& rec : log.records()) {
-      if (rec.kind == fs::OpKind::kCreate) create_by_id.emplace(rec.file, rec);
-    }
+    summary = fs::replay_op_log(log);
     // Ghost unlinks: records unlinking a file no create record mentions.
-    for (const fs::OpRecord& rec : log.records()) {
-      if (rec.kind != fs::OpKind::kUnlink) continue;
-      if (create_by_id.find(rec.file) != create_by_id.end()) continue;
+    for (const std::size_t pos : summary.ghost_unlinks) {
+      const fs::OpRecord& rec = log.records()[pos];
       Finding f;
       f.kind = FindingKind::kJournalGhostUnlink;
       f.file = rec.file;
@@ -290,13 +287,15 @@ FsckReport run_fsck(const FsckTarget& target, const FsckOptions& options) {
           break;
         }
         case FindingKind::kJournalMissingUnlink: {
-          const auto it = create_by_id.find(f.file);
-          const std::uint32_t project =
-              it != create_by_id.end() ? it->second.project : 0;
-          const Bytes size = it != create_by_id.end() ? it->second.size : 0;
-          const std::int64_t at = it != create_by_id.end() ? it->second.at : 0;
-          target.journal->append(fs::OpKind::kUnlink, f.file, project, size,
-                                 at);
+          // The file is journal-live, so it has a first create record; the
+          // repairs before this kind only appended, so its position holds.
+          const auto it = std::lower_bound(summary.live.begin(),
+                                           summary.live.end(), f.file);
+          const fs::OpRecord create = target.journal->records()
+              [summary.live_first_create[static_cast<std::size_t>(
+                  it - summary.live.begin())]];
+          target.journal->append(fs::OpKind::kUnlink, f.file, create.project,
+                                 create.size, create.at);
           f.repair = "backfilled unlink record";
           break;
         }
@@ -317,8 +316,10 @@ FsckReport run_fsck(const FsckTarget& target, const FsckOptions& options) {
           f.repair = "reset live-file counter from slot recount";
           break;
         case FindingKind::kCreateCountDrift:
-          ns.fsck_set_total_created(
-              fs::replay_op_log(*target.journal).creates);
+          // Repairs run in kind order, so only the missing-create backfills
+          // have added creates since the replay: expect_a is the replayed
+          // count of the repaired journal.
+          ns.fsck_set_total_created(f.expect_a);
           f.repair = "reconciled created-file counter with journal replay";
           break;
         case FindingKind::kOrphanObjects:

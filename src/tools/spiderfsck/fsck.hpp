@@ -18,8 +18,9 @@
 //                     (fs/recovery) to advance the committed cursor over
 //                     any backfilled tail.
 //
-// Every phase is serial: phase 1 is ~5% of fsck time (journal replay and
-// the state hash dominate), so fanning it out does not pay (docs/fsck.md).
+// Every phase is serial: phase 1 is ~5% of fsck time, so fanning it out
+// does not pay, and the journal cross-reference is one replay pass
+// (docs/fsck.md).
 // Findings are sorted into one canonical order, so the report JSON and
 // the findings and state hashes are a function of the target alone.
 #pragma once

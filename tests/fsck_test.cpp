@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fs/recovery.hpp"
 #include "sim/faultplan.hpp"
 #include "tools/faultcli/campaign.hpp"
 #include "tools/spiderfsck/fsck.hpp"
@@ -158,6 +159,66 @@ TEST(FsckJournal, RepairAdvancesCommittedCursorOverBackfilledTail) {
   EXPECT_EQ(fs.journal->committed(), fs.journal->last_txid());
   EXPECT_GE(fs.journal->committed(), committed_before);
   EXPECT_TRUE(tools::run_fsck(fs.target()).clean());
+}
+
+// The create-count repair sets the counter from the finding, not from a
+// second replay: by then only the missing-create backfills have added
+// creates, so the finding's expectation is the repaired journal's count.
+TEST(FsckJournal, CreateCountRepairMatchesAFreshReplay) {
+  tools::SyntheticFs fs = tools::make_synthetic_fs();
+  Rng rng(17);
+  ASSERT_FALSE(tools::inject_corruption(
+                   fs.target(), tools::FindingKind::kJournalMissingCreate, rng)
+                   .empty());
+  ASSERT_FALSE(tools::inject_corruption(
+                   fs.target(), tools::FindingKind::kCreateCountDrift, rng)
+                   .empty());
+  const tools::FsckReport dry = tools::run_fsck(fs.target());
+  EXPECT_TRUE(has_kind(dry, tools::FindingKind::kJournalMissingCreate));
+  EXPECT_TRUE(has_kind(dry, tools::FindingKind::kCreateCountDrift));
+
+  tools::FsckOptions repair;
+  repair.repair = true;
+  tools::run_fsck(fs.target(), repair);
+  EXPECT_EQ(fs.ns->total_created(), fs::replay_op_log(*fs.journal).creates);
+  const tools::FsckReport recheck = tools::run_fsck(fs.target());
+  EXPECT_TRUE(recheck.clean()) << tools::fsck_report_json(recheck);
+}
+
+// A backfilled unlink copies project, size and time from the file's first
+// create record, even when a later create record mentions the file again.
+TEST(FsckJournal, BackfilledUnlinkTakesTheFirstCreateRecord) {
+  tools::SyntheticFs fs = tools::make_synthetic_fs();
+  auto& records = fs.journal->records_mutable();
+  const auto unlink = std::find_if(
+      records.begin(), records.end(),
+      [](const fs::OpRecord& r) { return r.kind == fs::OpKind::kUnlink; });
+  ASSERT_NE(unlink, records.end());
+  const std::uint64_t file = unlink->file;
+  records.erase(unlink);
+  const auto create = std::find_if(
+      records.begin(), records.end(), [file](const fs::OpRecord& r) {
+        return r.kind == fs::OpKind::kCreate && r.file == file;
+      });
+  ASSERT_NE(create, records.end());
+  const fs::OpRecord first = *create;
+  // A second create of the journal-live file: a no-op for the replay, and
+  // every field differs from the first.
+  fs.journal->append(fs::OpKind::kCreate, file, first.project + 1,
+                     first.size + 1, first.at + 1);
+
+  tools::FsckOptions repair;
+  repair.repair = true;
+  const tools::FsckReport report = tools::run_fsck(fs.target(), repair);
+  EXPECT_TRUE(has_kind(report, tools::FindingKind::kJournalMissingUnlink));
+  const fs::OpRecord& backfilled = fs.journal->records().back();
+  EXPECT_EQ(backfilled.kind, fs::OpKind::kUnlink);
+  EXPECT_EQ(backfilled.file, file);
+  EXPECT_EQ(backfilled.project, first.project);
+  EXPECT_EQ(backfilled.size, first.size);
+  EXPECT_EQ(backfilled.at, first.at);
+  const tools::FsckReport recheck = tools::run_fsck(fs.target());
+  EXPECT_TRUE(recheck.clean()) << tools::fsck_report_json(recheck);
 }
 
 TEST(FsckReportJson, EscapesControlBytesInDetailAndRepair) {
